@@ -61,14 +61,12 @@ from .profiler import (
     render_report,
     render_sweep,
 )
-from .util import worker_count
 from .weights import (
     TensorDecl,
     WeightBundle,
     fnv1a64,
     gaussian_values,
     init_from_decls,
-    init_weights,
     load_wts,
     save_wts,
 )
@@ -111,7 +109,6 @@ __all__ = [
     "gaussian_values",
     "generate_anchors",
     "init_from_decls",
-    "init_weights",
     "iou",
     "iou_matrix",
     "nms_greedy",
@@ -126,7 +123,6 @@ __all__ = [
     "scaled",
     "serialize",
     "table_experiments",
-    "worker_count",
     "write_config",
     "write_detections",
     "write_fixtures",

@@ -30,17 +30,6 @@ BACKBONE_NAMES = (
     "xception",
 )
 
-BLOCK_KINDS = (
-    "conv",
-    "residual_basic",
-    "resnext_group",
-    "se_module",
-    "depthwise_separable",
-    "inverted_residual",
-    "xception",
-    "inception_se",
-)
-
 
 def scaled(c, width_multiplier):
     """Realized channel count under a width multiplier (never below 1)."""
@@ -515,62 +504,6 @@ class InceptionSEBlock:
         ]
         y = np.concatenate(parts, axis=1)
         return self.se.forward(y, w)
-
-
-# ---------------------------------------------------------------------------
-# block spec: a declarative handle on single blocks
-
-
-@dataclass(frozen=True)
-class BlockSpec:
-    """Declarative description of one building block."""
-
-    kind: str
-    c_in: int
-    c_out: int
-    stride: int = 1
-    cardinality: int = 32
-    expansion: int = 6
-    reduction: int = 16
-
-    def __post_init__(self):
-        if self.kind not in BLOCK_KINDS:
-            raise ValueError(f"unknown block kind {self.kind!r}; expected one of {BLOCK_KINDS}")
-        if self.c_in < 1 or self.c_out < 1:
-            raise ValueError(f"channel counts must be >= 1, got c_in={self.c_in}, c_out={self.c_out}")
-        if self.stride not in (1, 2):
-            raise ValueError(f"stride must be 1 or 2, got {self.stride}")
-
-
-def make_block(spec, name="block"):
-    """Instantiate the layer object described by a BlockSpec."""
-    k = spec.kind
-    if k == "conv":
-        return ConvUnit(name, spec.c_in, spec.c_out, 3, spec.stride, bias=True, bn=False)
-    if k == "residual_basic":
-        return BasicResBlock(name, spec.c_in, spec.c_out, spec.stride)
-    if k == "resnext_group":
-        return ResNeXtBlock(name, spec.c_in, spec.c_out, spec.stride, spec.cardinality)
-    if k == "se_module":
-        if spec.c_in != spec.c_out:
-            raise ValueError(f"se_module preserves channels, got c_in={spec.c_in}, c_out={spec.c_out}")
-        if spec.stride != 1:
-            raise ValueError("se_module does not stride")
-        return SEUnit(name, spec.c_in, spec.reduction)
-    if k == "depthwise_separable":
-        return DepthwiseSeparable(name, spec.c_in, spec.c_out, spec.stride)
-    if k == "inverted_residual":
-        return InvertedResidual(name, spec.c_in, spec.c_out, spec.stride, spec.expansion)
-    if k == "xception":
-        return XceptionBlock(name, spec.c_in, spec.c_out, spec.stride)
-    if k == "inception_se":
-        return InceptionSEBlock(name, spec.c_in, spec.c_out, spec.stride, spec.reduction)
-    raise AssertionError(k)
-
-
-def forward_block(spec, x, bundle, name="block"):
-    """Run one declaratively-specified block against a weight bundle."""
-    return make_block(spec, name).forward(x, bundle)
 
 
 # ---------------------------------------------------------------------------

@@ -114,7 +114,7 @@ def _cmd_sweep(args):
 def _cmd_eval(args):
     dets = pp.read_detections(args.detections)
     gts = ev.read_ground_truth(args.ground_truth)
-    result = ev.coco_map(dets, gts, workers=args.workers)
+    result = ev.coco_map(dets, gts)
     table = sorted(result.per_threshold.items())
     if args.format == "csv":
         print("threshold,ap")
@@ -189,8 +189,6 @@ def _build_parser():
     p = sub.add_parser("eval", help="score detections against ground truth")
     p.add_argument("detections", help="detections csv (image,class,x,y,w,h,score)")
     p.add_argument("ground_truth", help="ground-truth csv (image,class,x,y,w,h[,ignore])")
-    p.add_argument("--workers", type=int, default=None,
-                   help="thread count for per-class scoring (default: env or 1)")
     p.add_argument("--format", choices=("text", "csv"), default="text")
     p.set_defaults(func=_cmd_eval)
 

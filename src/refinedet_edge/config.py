@@ -98,23 +98,6 @@ class ModelSpec:
             raise ValueError(f"weight_init_sigma must be > 0, got {self.weight_init_sigma}")
 
 
-def validate(spec):
-    """Consistency warnings (naming conventions vs. configured values)."""
-    warnings = []
-    m = re.match(r"(r?)RefineDet(\d+)", spec.name)
-    if m:
-        expect_depth = 128 if m.group(1) == "r" else 256
-        if spec.head_depth != expect_depth:
-            warnings.append(
-                f"name {spec.name!r} implies head_depth {expect_depth}, config says {spec.head_depth}"
-            )
-        if int(m.group(2)) != spec.input_size:
-            warnings.append(
-                f"name {spec.name!r} implies input_size {m.group(2)}, config says {spec.input_size}"
-            )
-    return warnings
-
-
 # ---------------------------------------------------------------------------
 # text format
 

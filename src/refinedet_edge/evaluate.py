@@ -7,14 +7,12 @@ detection claims the highest-IoU unmatched ground-truth box of its class;
 ignore-flagged boxes absorb detections without counting either way.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 import logging
 
 import numpy as np
 
 from .postprocess import iou_matrix
-from .util import worker_count
 
 log = logging.getLogger(__name__)
 
@@ -151,25 +149,12 @@ class CocoMapResult:
     per_threshold: dict = field(compare=False)
 
 
-def coco_map(detections, gts, thresholds=COCO_THRESHOLDS, workers=None):
-    """AP averaged over the standard threshold ladder.
-
-    Thresholds are evaluated independently; with workers > 1 (default comes
-    from REFINEDET_EDGE_THREADS) they run on a thread pool.  Results are
-    collected in order, so the value is identical either way.
-    """
+def coco_map(detections, gts, thresholds=COCO_THRESHOLDS):
+    """AP averaged over the standard threshold ladder, one threshold at a time."""
     thresholds = tuple(thresholds)
     if not thresholds:
         raise ValueError("need at least one threshold")
-    if workers is None:
-        workers = worker_count()
-    elif int(workers) < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            aps = list(ex.map(lambda t: average_precision(detections, gts, t), thresholds))
-    else:
-        aps = [average_precision(detections, gts, t) for t in thresholds]
+    aps = [average_precision(detections, gts, t) for t in thresholds]
     table = dict(zip(thresholds, aps))
     return CocoMapResult(float(np.mean(aps)), table)
 

@@ -7,7 +7,6 @@ a top-down chain.  Anchor layout, channel layout, and flattening order are
 fixed here so that both branches index the same prior at every position.
 """
 
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,12 +22,6 @@ from .blocks import (
     scaled,
 )
 from . import postprocess as pp
-
-LEGAL_HEAD_DEPTHS = (128, 256)
-
-
-def _span(timer, name):
-    return nullcontext() if timer is None else timer.span(name)
 
 
 # ---------------------------------------------------------------------------
@@ -113,30 +106,6 @@ def generate_anchors(input_size, strides=(8, 16, 32, 64), scales=None, ratios=(0
 
 
 # ---------------------------------------------------------------------------
-# head configuration
-
-
-@dataclass(frozen=True)
-class HeadConfig:
-    """Channel plan of the detection head (nominal, before width scaling)."""
-
-    tcb_depth: int = 256
-    num_classes: int = 80
-    anchors_per_cell: int = 3
-    variances: tuple = pp.VARIANCES
-
-    def __post_init__(self):
-        if self.tcb_depth not in LEGAL_HEAD_DEPTHS:
-            raise ValueError(
-                f"head depth must be one of {LEGAL_HEAD_DEPTHS}, got {self.tcb_depth}"
-            )
-        if self.num_classes < 1:
-            raise ValueError(f"num_classes must be >= 1, got {self.num_classes}")
-        if self.anchors_per_cell < 1:
-            raise ValueError(f"anchors_per_cell must be >= 1, got {self.anchors_per_cell}")
-
-
-# ---------------------------------------------------------------------------
 # top-down fusion level
 
 
@@ -175,11 +144,6 @@ class TCBLevel:
             raise ValueError(f"{self.name} expects a top-down input")
         t = T.relu(t)
         return T.relu(self.smooth.forward(t, w))
-
-
-def tcb_fuse(level, lateral, top_down, weights):
-    """Functional wrapper over TCBLevel.fuse."""
-    return level.fuse(lateral, top_down, weights)
 
 
 # ---------------------------------------------------------------------------
@@ -226,11 +190,6 @@ class DetectionModel:
             raise TypeError(f"expected a ModelSpec, got {type(spec).__name__}")
         self.spec = spec
         wm = spec.width_multiplier
-        self.head_config = HeadConfig(
-            tcb_depth=spec.head_depth,
-            num_classes=spec.num_classes,
-            anchors_per_cell=len(spec.anchor_ratios),
-        )
         self.anchors = generate_anchors(
             spec.input_size, spec.anchor_strides, spec.anchor_scales, spec.anchor_ratios
         )
@@ -254,7 +213,7 @@ class DetectionModel:
         self.tcb_depth_realized = depth
         self.interm_depth_realized = interm_depth
 
-        A = self.head_config.anchors_per_cell
+        A = len(spec.anchor_ratios)
         C = spec.num_classes
         self.l2norms = {}
         for lvl in self.backbone.l2norm_levels:
@@ -355,29 +314,32 @@ class DetectionModel:
             raise ValueError(
                 f"input size mismatch: model expects {self.spec.input_size}, image is {h}x{w}"
             )
+        if not np.isfinite(x).all():
+            bad = int(np.count_nonzero(~np.isfinite(x)))
+            raise ValueError(f"input image has {bad} non-finite values (NaN or inf) of {x.size}")
         wb = self.weights
-        A = self.head_config.anchors_per_cell
+        A = len(self.spec.anchor_ratios)
 
-        with _span(timer, "backbone"):
+        with pp.span(timer, "backbone"):
             feats = self.backbone.forward(x, wb)
             for lvl, unit in self.l2norms.items():
                 feats[lvl] = unit.forward(feats[lvl], wb)
 
-        with _span(timer, "arm_head"):
+        with pp.span(timer, "arm_head"):
             obj = [flatten_predictions(u.forward(f, wb), A, 2) for u, f in zip(self.arm_cls, feats)]
             reg = [flatten_predictions(u.forward(f, wb), A, 4) for u, f in zip(self.arm_reg, feats)]
             arm_obj = np.concatenate(obj, axis=1)
             arm_deltas = np.concatenate(reg, axis=1)
 
-        with _span(timer, "tcb"):
+        with pp.span(timer, "tcb"):
             laterals = [blk.forward(f, wb) for blk, f in zip(self.intermediates, feats)]
             fused = [None] * 4
             fused[3] = self.tcb[3].fuse(laterals[3], None, wb)
             for i in (2, 1, 0):
                 fused[i] = self.tcb[i].fuse(laterals[i], fused[i + 1], wb)
 
-        with _span(timer, "odm_head"):
-            cls = [flatten_predictions(u.forward(f, wb), A, self.head_config.num_classes + 1)
+        with pp.span(timer, "odm_head"):
+            cls = [flatten_predictions(u.forward(f, wb), A, self.spec.num_classes + 1)
                    for u, f in zip(self.odm_cls, fused)]
             reg = [flatten_predictions(u.forward(f, wb), A, 4) for u, f in zip(self.odm_reg, fused)]
             odm_cls = np.concatenate(cls, axis=1)
@@ -410,7 +372,6 @@ class DetectionModel:
             neg_thresh=self.spec.arm_neg_thresh,
             cap_scope=self.spec.nms_cap_scope,
             image_size=self.spec.input_size,
-            variances=self.head_config.variances,
             timer=timer,
             counters=counters,
         )

@@ -11,6 +11,7 @@ survivors enter each greedy suppression pass, and at most max_output boxes
 leave per image.
 """
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -288,6 +289,11 @@ def nms_greedy(dets, iou_thresh=DEFAULT_IOU_THRESH, params=NmsParams(),
 # the full pipeline
 
 
+def span(timer, name):
+    """The timer's span for `name`, or a no-op context when timer is None."""
+    return nullcontext() if timer is None else timer.span(name)
+
+
 def pipeline(arm_obj_logits, arm_deltas, odm_cls_logits, odm_deltas, anchors,
              nms_params, *, iou_thresh=DEFAULT_IOU_THRESH, neg_thresh=DEFAULT_NEG_THRESH,
              cap_scope="per_class", image_size, variances=VARIANCES,
@@ -299,11 +305,6 @@ def pipeline(arm_obj_logits, arm_deltas, odm_cls_logits, odm_deltas, anchors,
     refined priors; score classes; suppress.  Returned indices are anchor
     rows, so outputs stay traceable to their priors.
     """
-    from contextlib import nullcontext
-
-    def span(name):
-        return nullcontext() if timer is None else timer.span(name)
-
     arm_obj_logits = np.asarray(arm_obj_logits)
     if arm_obj_logits.ndim != 2 or arm_obj_logits.shape[1] != 2:
         raise ValueError(f"objectness must be (anchors, 2), got {arm_obj_logits.shape}")
@@ -312,15 +313,15 @@ def pipeline(arm_obj_logits, arm_deltas, odm_cls_logits, odm_deltas, anchors,
     if anchors.shape[0] != n_anchors:
         raise ValueError(f"{n_anchors} objectness rows for {anchors.shape[0]} anchors")
 
-    with span("arm_filter"):
+    with span(timer, "arm_filter"):
         obj = softmax(arm_obj_logits, axis=1)
         kept = arm_filter(obj[:, 0], neg_thresh)
 
-    with span("decode"):
+    with span(timer, "decode"):
         refined = apply_deltas(anchors[kept], np.asarray(arm_deltas)[kept], variances)
         boxes = decode(refined, np.asarray(odm_deltas)[kept], variances, image_size=image_size)
 
-    with span("nms"):
+    with span(timer, "nms"):
         cls_probs = softmax(np.asarray(odm_cls_logits)[kept], axis=1)[:, 1:]
         rows, cols = np.nonzero(cls_probs >= nms_params.conf_thresh)
         candidates = DetectionSet(

@@ -3,9 +3,9 @@
 A benchmark reuses one seeded synthetic image for every run (so detections
 are identical run to run), discards the leading warm-up runs, and reports
 per-stage mean/std in milliseconds plus fps = 1000 / mean(total).  Stages are
-timed with the monotonic perf counter inside non-overlapping spans; timed
-regions never spawn workers.  The sum of stage means is checked against the
-measured total and flagged when they disagree by more than 2%.
+timed with the monotonic perf counter inside non-overlapping spans.  The sum
+of stage means is checked against the measured total and flagged when they
+disagree by more than 2%.
 """
 
 from contextlib import contextmanager
@@ -17,7 +17,6 @@ import time
 import numpy as np
 
 from .evaluate import coco_map
-from .util import worker_count
 
 STAGE_ORDER = ("backbone", "arm_head", "tcb", "odm_head", "decode", "arm_filter", "nms")
 TIMING_NOTE = ("timed region covers the inference call only; input generation, "
@@ -174,7 +173,6 @@ def benchmark(model, runs=210, warmup=10, nms_params=None, seed=0):
         fps=1000.0 / total_mean,
         environment={
             "host": platform.node() or "unknown",
-            "threads": worker_count(),
             "clock": "perf_counter_ns",
         },
         notes=notes,

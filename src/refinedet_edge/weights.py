@@ -119,20 +119,6 @@ def init_from_decls(decls, seed, sigma=0.01):
     return WeightBundle(tensors)
 
 
-def init_weights(spec, seed=None):
-    """Build the full weight bundle for a model configuration.
-
-    Every random tensor is drawn from one Gaussian stream with the spec's
-    sigma; seed defaults to the spec's own seed.
-    """
-    from .head import assemble_model  # assembly needs blocks, which need decls
-
-    model = assemble_model(spec)
-    if seed is None:
-        seed = spec.seed
-    return init_from_decls(model.weight_manifest(), seed, sigma=spec.weight_init_sigma)
-
-
 def gaussian_values(bundle, decls):
     """Concatenate the values of Gaussian-initialized tensors (for stats)."""
     gaussian_names = {d.name for d in decls if d.const is None}

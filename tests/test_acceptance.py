@@ -17,7 +17,7 @@ from refinedet_edge import profiler as P
 from refinedet_edge.blocks import BACKBONE_NAMES
 from refinedet_edge.head import assemble_model, build_model, generate_anchors
 from refinedet_edge.tensor_ops import ConvParams, conv2d, deconv2d, param_count
-from refinedet_edge.weights import gaussian_values, init_weights
+from refinedet_edge.weights import gaussian_values
 
 from conftest import ACCEPTANCE_LINES
 from oracles import anchors_gold, conv2d_gold, deconv2d_gold, nms_gold
@@ -377,8 +377,8 @@ def test_08_fixture_round_trip_and_init():
             assert model.param_count() > 0
 
         spec = C.ModelSpec(name="sigma-probe", backbone="vgg16", head_depth=256)
-        bundle = init_weights(spec)
-        sample = gaussian_values(bundle, assemble_model(spec).weight_manifest())
+        model = build_model(spec)
+        sample = gaussian_values(model.weights, model.weight_manifest())
         assert sample.size >= 10**5
         sigma = float(sample.astype(np.float64).std())
         assert abs(sigma - 0.01) <= 0.02 * 0.01, sigma

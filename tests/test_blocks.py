@@ -231,20 +231,6 @@ def test_inception_se_block_forward_shapes():
         assert out.shape == (1, 16, side, side)
 
 
-def test_block_spec_dispatch():
-    rng = np.random.default_rng(23)
-    x = rand_map((1, 8, 8, 8), 24)
-    for kind in B.BLOCK_KINDS:
-        spec = B.BlockSpec(kind, 8, 8, stride=1)
-        blk = B.make_block(spec, "b")
-        out = B.forward_block(spec, x, fill_bundle(blk.decls(), rng), "b")
-        assert out.shape == (1, 8, 8, 8), kind
-    with pytest.raises(ValueError, match="unknown block kind"):
-        B.BlockSpec("transformer", 8, 8)
-    with pytest.raises(ValueError, match="preserves channels"):
-        B.make_block(B.BlockSpec("se_module", 8, 4))
-
-
 # ---------------------------------------------------------------------------
 # backbones
 

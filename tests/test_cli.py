@@ -221,11 +221,6 @@ def test_eval_csv_output(tmp_path, capsys):
     assert lines[-1] == "mean,1.0"
 
 
-def test_eval_bad_workers_exits_3(tmp_path, capsys):
-    dpath, gpath = eval_files(tmp_path)
-    assert cli.main(["eval", str(dpath), str(gpath), "--workers", "0"]) == 3
-
-
 def test_eval_missing_file_exits_2(tmp_path, capsys):
     dpath, gpath = eval_files(tmp_path)
     assert cli.main(["eval", str(tmp_path / "nope.csv"), str(gpath)]) == 2

@@ -156,18 +156,6 @@ def test_model_spec_validations():
         C.ModelSpec(weight_init_sigma=0.0)
 
 
-def test_validate_warns_on_name_mismatch():
-    # name advertises depth-128 (r prefix) but spec says 256
-    spec = C.ModelSpec(name="rRefineDet320", head_depth=256)
-    warnings = C.validate(spec)
-    assert any("head" in w and "128" in w for w in warnings)
-    # name advertises 512 input but spec says 320
-    warnings = C.validate(C.ModelSpec(name="RefineDet512", input_size=320))
-    assert any("512" in w for w in warnings)
-    assert C.validate(C.ModelSpec(name="RefineDet320")) == []
-    assert C.validate(C.ModelSpec(name="my-custom-model")) == []  # foreign names: no claim
-
-
 # ---------------------------------------------------------------------------
 # the experiment table
 

@@ -181,30 +181,6 @@ def test_coco_map_is_mean_of_per_threshold_aps():
         assert ap == pytest.approx(singles[list(ev.COCO_THRESHOLDS).index(t)], abs=1e-12)
 
 
-def test_coco_map_threaded_equals_serial():
-    rng = np.random.default_rng(3)
-    d, g, _, _ = random_problem(rng, n_images=5)
-    serial = ev.coco_map(d, g, workers=1)
-    threaded = ev.coco_map(d, g, workers=4)
-    assert serial.mean == threaded.mean
-    assert serial.per_threshold == threaded.per_threshold
-
-
-def test_worker_count_env(monkeypatch):
-    from refinedet_edge.util import worker_count
-
-    monkeypatch.delenv("REFINEDET_EDGE_THREADS", raising=False)
-    assert worker_count() == 1
-    monkeypatch.setenv("REFINEDET_EDGE_THREADS", "4")
-    assert worker_count() == 4
-    monkeypatch.setenv("REFINEDET_EDGE_THREADS", "zero")
-    with pytest.raises(ValueError, match="REFINEDET_EDGE_THREADS"):
-        worker_count()
-    monkeypatch.setenv("REFINEDET_EDGE_THREADS", "0")
-    with pytest.raises(ValueError, match=">= 1"):
-        worker_count()
-
-
 # ---------------------------------------------------------------------------
 # ground truth on disk
 

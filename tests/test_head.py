@@ -207,6 +207,21 @@ def test_model_rejects_wrong_input_size():
         model.infer(np.zeros((2, 3, 320, 320), np.float32))
 
 
+@pytest.mark.parametrize("triple", [(400, 200, 0.1), (1000, 500, 0.01)])
+def test_infer_rejects_non_finite_images(triple):
+    from refinedet_edge.postprocess import NmsParams
+
+    model = H.build_model(thin_spec(backbone="vgg16", num_classes=80), seed=0)
+    params = NmsParams(*triple)
+    all_nan = np.full((1, 3, 320, 320), np.nan, np.float32)
+    with pytest.raises(ValueError, match="307200 non-finite"):
+        model.infer(all_nan, nms_params=params)
+    one_inf = np.random.default_rng(7).random((1, 3, 320, 320), dtype=np.float32)
+    one_inf[0, 1, 5, 9] = np.inf
+    with pytest.raises(ValueError, match=r"\b1 non-finite"):
+        model.infer(one_inf, nms_params=params)
+
+
 def test_model_infer_accepts_unbatched_image():
     model = H.build_model(thin_spec(), seed=0)
     img = np.random.default_rng(4).random((3, 320, 320), dtype=np.float32)

@@ -253,18 +253,47 @@ def test_bottleneck_requires_stages():
 # sweeps
 
 
+class FakeClock:
+    """Stands in for the profiler's `time` module: perf_counter_ns only moves
+    when a model advances it, so stage times are exact."""
+
+    def __init__(self):
+        self.ns = 0
+
+    def perf_counter_ns(self):
+        return self.ns
+
+    def advance_ms(self, ms):
+        self.ns += int(round(ms * 1e6))
+
+
+@pytest.fixture
+def fake_clock(monkeypatch):
+    clock = FakeClock()
+    monkeypatch.setattr(P, "time", clock)
+    return clock
+
+
 class SweepModel(DelayModel):
-    """NMS cost grows with the max_input budget; backbone cost is fixed."""
+    """NMS cost grows with the max_input budget; backbone cost is fixed.
+    Each span advances the fake clock instead of burning CPU time."""
+
+    def __init__(self, clock):
+        super().__init__({})
+        self.clock = clock
 
     def infer(self, image, nms_params=None, timer=None):
         budget = 400 if nms_params is None else nms_params.max_input
-        self.delays_ms = {"backbone": 1.0, "nms": budget / 400.0}
-        return super().infer(image, nms_params=nms_params, timer=timer)
+        timer = timer if timer is not None else P.StageTimer()
+        for name, ms in (("backbone", 1.0), ("nms", budget / 400.0)):
+            with timer.span(name):
+                self.clock.advance_ms(ms)
+        return self.dets
 
 
-def test_compare_sweep_orders_and_shifts_bottleneck():
+def test_compare_sweep_orders_and_shifts_bottleneck(fake_clock):
     triples = [NmsParams(400, 200, 0.1), NmsParams(1000, 500, 0.01)]
-    rows = P.compare_sweep(SweepModel({}), triples, runs=8, warmup=2)
+    rows = P.compare_sweep(SweepModel(fake_clock), triples, runs=8, warmup=2)
     assert [r.nms for r in rows] == triples
     assert rows[0].fps > rows[1].fps  # smaller budget runs faster
     assert rows[0].bottleneck_stage == "backbone"  # 1.0 vs 1.0 ms: alphabetical
@@ -274,7 +303,7 @@ def test_compare_sweep_orders_and_shifts_bottleneck():
     assert rows[0].report.stage("nms").mean_ms == pytest.approx(1.0, rel=0.15)
 
 
-def test_compare_sweep_scores_against_ground_truth():
+def test_compare_sweep_scores_against_ground_truth(fake_clock):
     gts = {
         "bench-000": GroundTruth(
             boxes=np.array([[10.0, 10.0, 20.0, 20.0]], dtype=np.float32),
@@ -282,7 +311,7 @@ def test_compare_sweep_scores_against_ground_truth():
             ignore=np.array([False]),
         )
     }
-    rows = P.compare_sweep(SweepModel({}), [NmsParams(400, 200, 0.1)],
+    rows = P.compare_sweep(SweepModel(fake_clock), [NmsParams(400, 200, 0.1)],
                            runs=4, warmup=1, gts=gts)
     assert rows[0].map_mean == pytest.approx(1.0)
 

@@ -139,12 +139,13 @@ def test_wts_rejects_foreign_files(tmp_path):
         W.load_wts(path)
 
 
-def test_init_weights_from_spec_smoke():
+def test_build_model_weights_from_spec_smoke():
     from refinedet_edge.config import ModelSpec
+    from refinedet_edge.head import build_model
 
     spec = ModelSpec(name="rRefineDet320", backbone="mobilenetv1",
                      head_depth=128, width_multiplier=0.0625)
-    bundle = W.init_weights(spec)
+    bundle = build_model(spec).weights
     assert len(bundle.names()) > 50
-    again = W.init_weights(spec)
+    again = build_model(spec).weights
     assert bundle.digest() == again.digest()
