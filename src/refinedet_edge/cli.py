@@ -21,7 +21,7 @@ from . import postprocess as pp
 from . import profiler as prof
 from .head import assemble_model, build_model
 from .postprocess import NmsParams
-from .weights import init_from_decls, load_wts, save_wts
+from .weights import load_wts, save_wts
 
 
 def _parse_triples(text):
@@ -67,7 +67,7 @@ def _load_model(args):
 
 def _cmd_build(args):
     spec = _load_spec(args)
-    model = assemble_model(spec)
+    model = build_model(spec) if args.weights_out else assemble_model(spec)
     wm = spec.width_multiplier
     print(f"model: {spec.name}")
     print(f"backbone: {spec.backbone} (head depth {spec.head_depth}, width multiplier {wm})")
@@ -84,10 +84,8 @@ def _cmd_build(args):
         for line in model.notes:
             print(f"note: {line}")
     if args.weights_out:
-        bundle = init_from_decls(model.weight_manifest(), spec.seed, sigma=spec.weight_init_sigma)
-        model.bind(bundle)
-        save_wts(args.weights_out, bundle, spec.name)
-        print(f"weights: wrote {args.weights_out} (digest {bundle.digest():#018x})")
+        save_wts(args.weights_out, model.weights, spec.name)
+        print(f"weights: wrote {args.weights_out} (digest {model.weights.digest():#018x})")
     return 0
 
 

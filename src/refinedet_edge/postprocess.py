@@ -87,7 +87,15 @@ class DetectionSet:
 
 @dataclass
 class NmsCounters:
-    """Instrumentation: pairwise IoU evaluations and per-class candidate loads."""
+    """Instrumentation: pairwise IoU evaluations and per-class candidate loads.
+
+    `iou_evals` is the work of greedy suppression taken one kept box at a
+    time: for each kept box, the number of same-class members still alive
+    after it in rank order.  `nms_greedy` computes this count from its tiles;
+    it is not the number of IoUs the tiles evaluate, and `iou_matrix` is not
+    called.  `candidates_per_class` maps a class id to the members that
+    entered suppression after the max_input cap.  Both add up over calls.
+    """
 
     iou_evals: int = 0
     candidates_per_class: dict = field(default_factory=dict)
@@ -227,9 +235,78 @@ def arm_filter(background_probs, neg_thresh=DEFAULT_NEG_THRESH):
 # greedy suppression
 
 
+# Live members a suppression tile takes as rows.  At most 64: the tile's own
+# block is resolved with one 64-bit mask per row.  On a captured
+# server-budget image (80 classes of 1000 boxes) 64 beat 32 and 48, and
+# 96 and 128, tried with wider masks, were 15-30% slower.
+NMS_TILE = 64
+
+
 def _ranked(scores, ids):
     """Order by score descending, ties by lower id."""
     return np.lexsort((ids, -scores.astype(np.float64)))
+
+
+def _tile_overlaps(rows, cols, iou_thresh, scratch):
+    """IoU(rows, cols) > iou_thresh as a (t, m) bool array in `scratch`.
+
+    `rows` and `cols` hold x0, y0, x1, y1, area as float64 rows.  The
+    elementwise steps are those of `iou_matrix`, in its order, so every
+    decision equals the one `iou_matrix` would give for the pair.
+    """
+    t, m = rows.shape[1], cols.shape[1]
+    ix, iy, tmp, over = (buf[: t * m].reshape(t, m) for buf in scratch)
+    rx0, ry0, rx1, ry1, r_area = (row[:, None] for row in rows)
+    cx0, cy0, cx1, cy1, c_area = cols
+    np.minimum(rx1, cx1, out=ix)
+    np.subtract(ix, np.maximum(rx0, cx0, out=tmp), out=ix)
+    np.minimum(ry1, cy1, out=iy)
+    np.subtract(iy, np.maximum(ry0, cy0, out=tmp), out=iy)
+    # np.clip(v, 0, None) is np.maximum(v, 0)
+    inter = np.multiply(np.maximum(ix, 0, out=ix), np.maximum(iy, 0, out=iy), out=ix)
+    union = np.subtract(np.add(r_area, c_area, out=iy), inter, out=iy)
+    tmp.fill(0.0)
+    np.divide(inter, union, out=tmp, where=np.greater(union, 0, out=over))
+    return np.greater(tmp, iou_thresh, out=over)
+
+
+def _suppress_class(cols, iou_thresh, scratch, counters):
+    """Greedy suppression of one class's ranked members; returns kept ranks.
+
+    `cols` holds the members in rank order as x0, y0, x1, y1, area rows.
+    `live` lists the ranks no kept box has removed yet, and every one of
+    them ranks after every box kept so far.  Each tile compares the next
+    NMS_TILE live members (the rows) with every live member from the first
+    row on (the columns).  The rows are then resolved in rank order on the
+    tile's own block: a row is kept unless an earlier kept row of the tile
+    overlaps it, which is exactly the row-at-a-time rule.  Columns past the
+    tile that any kept row overlaps are dropped, and the survivors' columns
+    are compressed for the next tile.
+    """
+    live = np.arange(cols.shape[1])
+    kept = []
+    while len(live):
+        t = min(NMS_TILE, len(live))
+        over = _tile_overlaps(cols[:, :t], cols, iou_thresh, scratch)
+        bits = np.zeros((t, 8), np.uint8)
+        bits[:, : (t + 7) // 8] = np.packbits(over[:, :t], axis=1, bitorder="little")
+        dead, tile_kept = 0, []
+        for r, mask in enumerate(bits.view("<u8")[:, 0].tolist()):
+            if not (dead >> r) & 1:
+                tile_kept.append(r)
+                dead |= mask
+        by_kept = over[tile_kept]
+        hit = by_kept.any(axis=0)
+        if counters is not None:
+            # The row-at-a-time loop compares a member with every kept box
+            # ranked before it, up to and including the first that removes it.
+            first = np.where(hit, by_kept.argmax(axis=0) + 1, len(tile_kept))
+            before = np.searchsorted(tile_kept, np.arange(t))
+            counters.iou_evals += int(np.minimum(first[:t], before).sum() + first[t:].sum())
+        kept.append(live[tile_kept])
+        survivors = np.flatnonzero(~hit[t:]) + t
+        live, cols = live[survivors], cols[:, survivors]
+    return np.concatenate(kept)
 
 
 def nms_greedy(dets, iou_thresh=DEFAULT_IOU_THRESH, params=NmsParams(),
@@ -241,47 +318,48 @@ def nms_greedy(dets, iou_thresh=DEFAULT_IOU_THRESH, params=NmsParams(),
     suppression; a kept box removes same-class rivals with IoU strictly
     above iou_thresh; the merged result is score-sorted and truncated to
     max_output.  Returned indices point into the input set.
+
+    Suppression runs in tiles rather than one kept box at a time: the next
+    NMS_TILE surviving boxes of a class are compared with every surviving
+    box from them on in one broadcast, resolved in rank order among
+    themselves, and the later boxes they remove are dropped before the next
+    tile (see `_suppress_class`).  The result is exactly the greedy one: the
+    IoU steps are those of `iou_matrix`, so each `> iou_thresh` decision is
+    bit-identical, and a box is kept iff no earlier kept box overlaps it.
+    Scratch memory is NMS_TILE rows by the largest class.
     """
     if not (0.0 <= iou_thresh < 1.0):
         raise ValueError(f"iou_thresh must be in [0, 1), got {iou_thresh}")
     if cap_scope not in CAP_SCOPES:
         raise ValueError(f"cap_scope must be one of {CAP_SCOPES}, got {cap_scope!r}")
 
-    scores = dets.scores.astype(np.float64)
-    keep_mask = scores >= params.conf_thresh
-    pool = np.flatnonzero(keep_mask)
-
+    pool = np.flatnonzero(dets.scores.astype(np.float64) >= params.conf_thresh)
+    if len(pool) == 0:
+        return DetectionSet.empty()
     if cap_scope == "per_image" and len(pool) > params.max_input:
-        order = _ranked(scores[pool], pool)
-        pool = pool[order[: params.max_input]]
+        order = _ranked(dets.scores[pool], pool)
+        pool = np.sort(pool[order[: params.max_input]])
+
+    pool_classes = dets.class_ids[pool]
+    classes, counts = np.unique(pool_classes, return_counts=True)
+    size = NMS_TILE * min(int(counts.max()), params.max_input)
+    scratch = (np.empty(size), np.empty(size), np.empty(size), np.empty(size, bool))
 
     kept = []
-    for cls in (np.unique(dets.class_ids[pool]) if len(pool) else []):
-        members = pool[dets.class_ids[pool] == cls]
-        order = _ranked(scores[members], members)
-        members = members[order]
-        if cap_scope == "per_class" and len(members) > params.max_input:
-            members = members[: params.max_input]
+    for cls in classes:
+        members = pool[pool_classes == cls]
+        # Members ascend by id, so a stable sort breaks score ties by lower
+        # id.  The cap binds per class only: a per-image pool is capped.
+        members = members[np.argsort(-dets.scores[members], kind="stable")[: params.max_input]]
         if counters is not None:
             counters.candidates_per_class[int(cls)] = counters.candidates_per_class.get(int(cls), 0) + len(members)
-        boxes = dets.boxes[members].astype(np.float64)
-        alive = np.ones(len(members), dtype=bool)
-        for i in range(len(members)):
-            if not alive[i]:
-                continue
-            kept.append(members[i])
-            rest = np.flatnonzero(alive[i + 1 :]) + i + 1
-            if len(rest) == 0:
-                continue
-            overlaps = iou_matrix(boxes[i : i + 1], boxes[rest])[0]
-            if counters is not None:
-                counters.iou_evals += len(rest)
-            alive[rest[overlaps > iou_thresh]] = False
+        x0, y0, x1, y1 = dets.boxes[members].astype(np.float64).T
+        area = np.clip(x1 - x0, 0, None) * np.clip(y1 - y0, 0, None)
+        cols = np.stack([x0, y0, x1, y1, area])
+        kept.append(members[_suppress_class(cols, iou_thresh, scratch, counters)])
 
-    if not kept:
-        return DetectionSet.empty()
-    kept = np.asarray(kept, dtype=np.int64)
-    order = _ranked(scores[kept], kept)
+    kept = np.concatenate(kept)
+    order = _ranked(dets.scores[kept], kept)
     return dets.take(kept[order][: params.max_output])
 
 

@@ -149,6 +149,34 @@ def nms_gold(boxes, scores, class_ids, iou_thresh, max_input, max_output,
     return rank(kept)[:max_output]
 
 
+def nms_iou_evals_gold(boxes, scores, class_ids, iou_thresh, max_input, conf_thresh,
+                       cap_scope="per_class"):
+    """The work of nms_gold's loop, counted by definition.
+
+    Returns (IoU evaluations, {class id: members entering suppression}): each
+    kept box is compared with every member still listed after it.
+    """
+    def rank(ix):
+        return sorted(ix, key=lambda i: (-float(scores[i]), i))
+
+    pool = [i for i in range(len(scores)) if float(scores[i]) >= conf_thresh]
+    if cap_scope == "per_image":
+        pool = rank(pool)[:max_input]
+
+    evals = 0
+    per_class = {}
+    for cls in sorted({int(class_ids[i]) for i in pool}):
+        members = rank([i for i in pool if int(class_ids[i]) == cls])
+        if cap_scope == "per_class":
+            members = members[:max_input]
+        per_class[cls] = len(members)
+        while members:
+            best = members.pop(0)
+            evals += len(members)
+            members = [m for m in members if iou_gold(boxes[best], boxes[m]) <= iou_thresh]
+    return evals, per_class
+
+
 def anchors_gold(input_size, strides, scales, ratios):
     """Anchor grid by definition: level -> row -> col -> ratio."""
     rows = []

@@ -4,9 +4,12 @@ the traced run, so every name it lists must keep resolving."""
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
+
+from refinedet_edge import postprocess
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
@@ -29,3 +32,11 @@ def test_wrapped_function_resolves(mod_name, attr):
         owner = getattr(owner, part, None)
         assert owner is not None, f"refinedet_edge.{mod_name}.{attr} is gone"
     assert callable(owner)
+
+
+def test_nms_greedy_signature():
+    # bench/test_refs.py wraps nms_greedy and calls it positionally; a new
+    # parameter (a tile size, say) would shift its arguments
+    params = inspect.signature(postprocess.nms_greedy).parameters
+    assert list(params) == ["dets", "iou_thresh", "params", "counters", "cap_scope"]
+    assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params.values())

@@ -5,7 +5,9 @@ from refinedet_edge import cli
 from refinedet_edge import config as C
 from refinedet_edge import evaluate as ev
 from refinedet_edge import postprocess as pp
+from refinedet_edge.head import build_model
 from refinedet_edge.profiler import ProfileReport
+from refinedet_edge.weights import save_wts
 
 
 def write_cfg(tmp_path, filename="model.cfg", **overrides):
@@ -42,7 +44,12 @@ def test_build_saves_weights(tmp_path, capsys):
     assert cli.main(["build", str(path), "--weights", str(wts)]) == 0
     out = capsys.readouterr().out
     assert f"weights: wrote {wts} (digest 0x" in out
-    assert wts.exists()
+    # the file holds build_model's weights, byte for byte
+    spec = C.parse_file(path)
+    bundle = build_model(spec).weights
+    save_wts(tmp_path / "want.wts", bundle, spec.name)
+    assert wts.read_bytes() == (tmp_path / "want.wts").read_bytes()
+    assert f"(digest {bundle.digest():#018x})" in out
 
 
 def test_build_verbose_notes(tmp_path, capsys):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from refinedet_edge import postprocess as pp
-from oracles import apply_deltas_gold, decode_gold, iou_gold, nms_gold
+from oracles import apply_deltas_gold, decode_gold, iou_gold, nms_gold, nms_iou_evals_gold
 
 
 def random_boxes(rng, k, size=320.0):
@@ -143,10 +143,19 @@ def test_arm_filter_threshold_semantics():
 
 
 def run_both(dets, iou_thresh, params, cap_scope):
-    got = pp.nms_greedy(dets, iou_thresh, params, cap_scope=cap_scope)
+    """nms_greedy against nms_gold (indices, order) and against
+    nms_iou_evals_gold (the counters); counting leaves the result alone."""
+    counters = pp.NmsCounters()
+    got = pp.nms_greedy(dets, iou_thresh, params, counters=counters, cap_scope=cap_scope)
     want = nms_gold(dets.boxes, dets.scores, dets.class_ids, iou_thresh,
                     params.max_input, params.max_output, params.conf_thresh, cap_scope)
     np.testing.assert_array_equal(got.indices, np.asarray(want, np.int64))
+    evals, per_class = nms_iou_evals_gold(dets.boxes, dets.scores, dets.class_ids, iou_thresh,
+                                          params.max_input, params.conf_thresh, cap_scope)
+    assert counters.iou_evals == evals
+    assert counters.candidates_per_class == per_class
+    uncounted = pp.nms_greedy(dets, iou_thresh, params, cap_scope=cap_scope)
+    np.testing.assert_array_equal(uncounted.indices, got.indices)
     return got
 
 
@@ -234,6 +243,91 @@ def test_nms_counters():
     assert counters.candidates_per_class == per_class  # conf 0: everything enters
     max_pairs = sum(n * (n - 1) // 2 for n in per_class.values())
     assert 0 < counters.iou_evals <= max_pairs
+    evals, _ = nms_iou_evals_gold(dets.boxes, dets.scores, dets.class_ids, 0.45, 400, 0.0)
+    assert counters.iou_evals == evals
+
+
+T = pp.NMS_TILE
+TILE_SIZES = (1, T - 1, T, T + 1, 2 * T + 1)  # members per class
+
+
+def class_blocks(rng, sizes, canvas=160.0):
+    """One class per size, boxes crowded onto a small canvas so kept boxes
+    remove members of later tiles."""
+    k = sum(sizes)
+    xy = rng.random((k, 2)) * canvas
+    wh = rng.random((k, 2)) * 50.0 + 10.0
+    classes = np.repeat(np.arange(1, len(sizes) + 1), sizes)
+    return pp.DetectionSet(np.concatenate([xy, xy + wh], axis=1), rng.random(k),
+                           rng.permutation(classes))
+
+
+@pytest.mark.parametrize("scope", pp.CAP_SCOPES)
+@pytest.mark.parametrize("iou_thresh", [0.0, 0.3, 0.45, 0.7])
+def test_nms_tile_boundaries_match_gold(scope, iou_thresh):
+    dets = class_blocks(np.random.default_rng(13), TILE_SIZES)
+    n = len(dets)
+    run_both(dets, iou_thresh, pp.NmsParams(n, n, 0.0), scope)
+    # caps that bind: at a tile edge per class, mid-pool per image
+    run_both(dets, iou_thresh, pp.NmsParams(T, n, 0.0), scope)
+    run_both(dets, iou_thresh, pp.NmsParams(n // 2 + 1, 40, 0.2), scope)
+
+
+@pytest.mark.parametrize("scope", pp.CAP_SCOPES)
+def test_nms_dense_cluster_kills_cross_tiles(scope):
+    # 1000 same-class boxes on a 320 canvas: kept boxes in early tiles
+    # remove members many tiles later, and more than two tiles' worth survive
+    rng = np.random.default_rng(14)
+    xy = rng.random((1000, 2)) * 280.0
+    wh = rng.random((1000, 2)) * 60.0 + 30.0
+    dets = pp.DetectionSet(np.concatenate([xy, xy + wh], axis=1), rng.random(1000),
+                           np.ones(1000, np.int32))
+    got = run_both(dets, 0.45, pp.NmsParams(1000, 1000, 0.0), scope)
+    assert 2 * T < len(got) < 1000
+
+
+def test_nms_duplicate_scores_break_ties_by_id():
+    # four score levels and repeated boxes across tile edges: only the id
+    # decides the order among equals
+    rng = np.random.default_rng(15)
+    dets = class_blocks(rng, TILE_SIZES, canvas=60.0)
+    dets.scores = (rng.integers(1, 5, len(dets)) / 4).astype(np.float32)
+    dets.boxes[1::3] = dets.boxes[0::3][: len(dets.boxes[1::3])]
+    for scope in pp.CAP_SCOPES:
+        run_both(dets, 0.45, pp.NmsParams(len(dets), len(dets), 0.0), scope)
+        run_both(dets, 0.45, pp.NmsParams(T + 1, 100, 0.3), scope)
+
+
+def test_nms_zero_area_boxes_never_suppress():
+    # a box of zero width or height has IoU 0 with every box (union 0 with
+    # a zero-area twin), so it is never removed
+    rng = np.random.default_rng(16)
+    dets = class_blocks(rng, (2 * T + 1,), canvas=40.0)
+    ids = np.arange(len(dets))
+    flat = ids % 3 == 0
+    dets.boxes[flat, 2] = dets.boxes[flat, 0]
+    dets.boxes[ids % 6 == 0, 3] = dets.boxes[ids % 6 == 0, 1]  # some are points
+    dets.boxes[len(dets) // 2] = dets.boxes[0]  # an identical zero-area pair
+    for thresh in (0.0, 0.45):
+        for scope in pp.CAP_SCOPES:
+            got = run_both(dets, thresh, pp.NmsParams(len(dets), len(dets), 0.0), scope)
+            assert set(np.flatnonzero(flat)) <= set(got.indices.tolist())
+
+
+@pytest.mark.parametrize("iou_thresh", [0.6, 0.5, 1 / 3, 0.2])
+def test_nms_grid_boxes_at_exact_threshold(iou_thresh):
+    # integer boxes on a grid of 5 with widths 10 and 20: many pairs have IoU
+    # exactly 3/5, 1/2, 1/3 or 1/5, which is not above the threshold
+    k = 2 * T + 1
+    x0 = (np.arange(k) % 13) * 5.0
+    w = np.where(np.arange(k) % 3 == 0, 10.0, 20.0)
+    y0 = (np.arange(k) // 13) * 40.0
+    boxes = np.stack([x0, y0, x0 + w, y0 + 10.0], axis=1)
+    exact = [pp.iou(boxes[i], boxes[j]) == iou_thresh for i in range(k) for j in range(i)]
+    assert any(exact)
+    dets = pp.DetectionSet(boxes, np.linspace(0.9, 0.1, k), np.ones(k, np.int32))
+    for scope in pp.CAP_SCOPES:
+        run_both(dets, iou_thresh, pp.NmsParams(k, k, 0.0), scope)
 
 
 def test_nms_empty_input():
