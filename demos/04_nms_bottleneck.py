@@ -6,11 +6,17 @@ Two desk-size models with opposite cost profiles:
   B: 512-input mobilenetv1, slim 128 heads  light compute, 16 320 anchor rows
 
 Under a small suppression budget (max_input 400, conf 0.1) convolution
-time dominates and B's cheap layers win.  Raising the budget to
-(1000, 500, 0.01) floods the suppressor with candidates in proportion to
-anchor count, which punishes B far harder than A.  On machines like this
-one the fps ranking of the two models can flip outright; what always
-holds is that the nms share of total time grows with the budget.
+time dominates both models.  Raising the budget to (1000, 500, 0.01) floods
+the suppressor with candidates, and suppression becomes most of each
+model's runtime: in one run on a 2-CPU VM the nms share grew from 12% to
+86% for A and from 18% to 85% for B, while A stayed the faster model under
+both budgets (7.70 vs 6.55 fps, then 1.46 vs 1.04 fps).
+
+The ranking does not flip under the default seeded init: every class
+probability sits near 1/81, so the small budget passes no candidates at all
+and the large one passes every anchor up to the per-class cap, which binds
+both models alike.  A flip waits on an init that makes the budget a curve
+rather than a step (ROADMAP item 1).
 
 Run from the repository root:  python3 demos/04_nms_bottleneck.py
 """
@@ -57,9 +63,8 @@ if order_small != order_large:
     print(f"ranking flipped: {'>'.join(order_small)} under {TRIPLES[0].short()} "
           f"but {'>'.join(order_large)} under {TRIPLES[1].short()}.")
 else:
-    print(f"ranking held ({'>'.join(order_small)}) on this machine this run,")
-    print("but the gap moved with the suppression budget - rerun or widen the")
-    print("budget to see it flip.")
+    print(f"ranking held ({'>'.join(order_small)}) under both budgets; the gap moved")
+    print("with the suppression budget.")
 for tag in rows:
     s0 = rows[tag][0].report.stage("nms").mean_ms / rows[tag][0].report.stage("total").mean_ms
     s1 = rows[tag][1].report.stage("nms").mean_ms / rows[tag][1].report.stage("total").mean_ms

@@ -5,6 +5,10 @@ shape, init rule) and evaluates a forward pass against a WeightBundle.  No
 layer owns storage, so models can be assembled, inspected, and counted
 without allocating a single weight.
 
+Every composite block is a `Sequence` of units with an optional additive
+skip (identity or a strided 1x1 projection) and final relu, plus `Concat`
+for parallel branches; the block classes only construct their units.
+
 Nine backbone families are supported; each yields a 4-level feature pyramid
 at strides 8/16/32/64 relative to the input.  A width multiplier scales every
 realized channel count (topology is preserved exactly), which keeps desktop
@@ -194,32 +198,40 @@ class SEUnit:
         ]
 
     def forward(self, x, w):
-        return forward_se(x, w[f"{self.name}/reduce"], w[f"{self.name}/expand"])
+        x = T.check_feature_map(x)
+        c = x.shape[1]
+        w_reduce = np.asarray(w[f"{self.name}/reduce"])
+        w_expand = np.asarray(w[f"{self.name}/expand"])
+        if w_reduce.ndim != 2 or w_reduce.shape[1] != c:
+            raise ValueError(f"reduce matrix must be (r, {c}), got {w_reduce.shape}")
+        if w_expand.shape != (c, w_reduce.shape[0]):
+            raise ValueError(f"expand matrix must be ({c}, {w_reduce.shape[0]}), got {w_expand.shape}")
+        pooled = T.global_avg_pool(x)[:, :, 0, 0]  # (n, c)
+        z = T.relu((pooled.astype(np.float64) @ w_reduce.astype(np.float64).T).astype(np.float32))
+        gates = T.sigmoid((z.astype(np.float64) @ w_expand.astype(np.float64).T).astype(np.float32))
+        return (x.astype(np.float64) * gates.astype(np.float64)[:, :, None, None]).astype(np.float32)
 
 
-def forward_se(x, w_reduce, w_expand):
-    """Functional SE: scales channels of x by sigmoid(W2 relu(W1 pooled))."""
-    x = T.check_feature_map(x)
-    c = x.shape[1]
-    w_reduce = np.asarray(w_reduce)
-    w_expand = np.asarray(w_expand)
-    if w_reduce.ndim != 2 or w_reduce.shape[1] != c:
-        raise ValueError(f"reduce matrix must be (r, {c}), got {w_reduce.shape}")
-    if w_expand.shape != (c, w_reduce.shape[0]):
-        raise ValueError(f"expand matrix must be ({c}, {w_reduce.shape[0]}), got {w_expand.shape}")
-    pooled = T.global_avg_pool(x)[:, :, 0, 0]  # (n, c)
-    z = T.relu((pooled.astype(np.float64) @ w_reduce.astype(np.float64).T).astype(np.float32))
-    gates = T.sigmoid((z.astype(np.float64) @ w_expand.astype(np.float64).T).astype(np.float32))
-    return (x.astype(np.float64) * gates.astype(np.float64)[:, :, None, None]).astype(np.float32)
+# ---------------------------------------------------------------------------
+# composition
 
 
 class Sequence:
-    """Chain of layers applied in order."""
+    """Layers applied in order, then an optional additive skip and activation.
 
-    def __init__(self, layers):
+    `skip` is None (no shortcut), "identity" (add the block's input), or a
+    unit applied to the block's input (a projection) whose tensors are
+    declared after the layers'.  The output is act(layers(x) [+ skip(x)]).
+    """
+
+    def __init__(self, layers, skip=None, act="none"):
         if not layers:
             raise ValueError("empty layer sequence")
+        if act not in ("relu", "none"):
+            raise ValueError(f"unknown activation {act!r}")
         self.layers = list(layers)
+        self.skip = skip
+        self.act = act
 
     @property
     def out_channels(self):
@@ -239,53 +251,66 @@ class Sequence:
         out = []
         for layer in self.layers:
             out.extend(layer.decls())
+        if self.skip not in (None, "identity"):
+            out.extend(self.skip.decls())
         return out
 
     def forward(self, x, w):
+        y = x
         for layer in self.layers:
-            x = layer.forward(x, w)
-        return x
+            y = layer.forward(y, w)
+        if self.skip is not None:
+            skip = x if self.skip == "identity" else self.skip.forward(x, w)
+            y = T.elementwise_add(y, skip)
+        if self.act == "relu":
+            y = T.relu(y)
+        return y
+
+
+class Concat:
+    """Parallel branches over one input, concatenated along channels."""
+
+    def __init__(self, branches):
+        self.branches = list(branches)
+
+    @property
+    def out_channels(self):
+        return sum(b.out_channels for b in self.branches)
+
+    @property
+    def stride_factor(self):
+        return self.branches[0].stride_factor
+
+    def decls(self):
+        return [d for b in self.branches for d in b.decls()]
+
+    def forward(self, x, w):
+        return np.concatenate([b.forward(x, w) for b in self.branches], axis=1)
+
+
+def _shortcut(name, c_in, c_out, stride):
+    """Identity when the shape is kept, else a strided 1x1 projection."""
+    if stride == 1 and c_in == c_out:
+        return "identity"
+    return ConvUnit(f"{name}/proj", c_in, c_out, 1, stride, act="none")
 
 
 # ---------------------------------------------------------------------------
-# composite blocks
+# composite blocks: each only states what it is made of
 
 
-class BasicResBlock:
+class BasicResBlock(Sequence):
     """Two 3x3 convolutions with an additive skip; projection when shapes change."""
 
     def __init__(self, name, c_in, c_out, stride=1):
         self.name = name
-        self.c_in = c_in
-        self.c_out = c_out
-        self.stride = stride
-        self.conv1 = ConvUnit(f"{name}/conv1", c_in, c_out, 3, stride)
-        self.conv2 = ConvUnit(f"{name}/conv2", c_out, c_out, 3, act="none")
-        self.proj = None
-        if stride != 1 or c_in != c_out:
-            self.proj = ConvUnit(f"{name}/proj", c_in, c_out, 1, stride, act="none")
-
-    @property
-    def out_channels(self):
-        return self.c_out
-
-    @property
-    def stride_factor(self):
-        return self.stride
-
-    def decls(self):
-        out = self.conv1.decls() + self.conv2.decls()
-        if self.proj is not None:
-            out += self.proj.decls()
-        return out
-
-    def forward(self, x, w):
-        y = self.conv2.forward(self.conv1.forward(x, w), w)
-        skip = x if self.proj is None else self.proj.forward(x, w)
-        return T.relu(T.elementwise_add(y, skip))
+        super().__init__([
+            ConvUnit(f"{name}/conv1", c_in, c_out, 3, stride),
+            ConvUnit(f"{name}/conv2", c_out, c_out, 3, act="none"),
+        ], skip=_shortcut(name, c_in, c_out, stride), act="relu")
 
 
-class ResNeXtBlock:
+class ResNeXtBlock(Sequence):
     """Bottleneck with grouped 3x3 (aggregated transforms); optional SE gate.
 
     Bottleneck width is c_out/2; the group count falls back to the largest
@@ -295,157 +320,61 @@ class ResNeXtBlock:
 
     def __init__(self, name, c_in, c_out, stride=1, cardinality=32, se=False, reduction=16):
         self.name = name
-        self.c_in = c_in
-        self.c_out = c_out
-        self.stride = stride
         width = max(1, c_out // 2)
         self.cardinality = effective_cardinality(width, cardinality)
-        self.conv1 = ConvUnit(f"{name}/conv1", c_in, width, 1)
-        self.conv2 = ConvUnit(f"{name}/conv2", width, width, 3, stride, groups=self.cardinality)
-        self.conv3 = ConvUnit(f"{name}/conv3", width, c_out, 1, act="none")
-        self.se = SEUnit(f"{name}/se", c_out, reduction) if se else None
-        self.proj = None
-        if stride != 1 or c_in != c_out:
-            self.proj = ConvUnit(f"{name}/proj", c_in, c_out, 1, stride, act="none")
-
-    @property
-    def out_channels(self):
-        return self.c_out
-
-    @property
-    def stride_factor(self):
-        return self.stride
-
-    def decls(self):
-        out = self.conv1.decls() + self.conv2.decls() + self.conv3.decls()
-        if self.se is not None:
-            out += self.se.decls()
-        if self.proj is not None:
-            out += self.proj.decls()
-        return out
-
-    def forward(self, x, w):
-        y = self.conv3.forward(self.conv2.forward(self.conv1.forward(x, w), w), w)
-        if self.se is not None:
-            y = self.se.forward(y, w)
-        skip = x if self.proj is None else self.proj.forward(x, w)
-        return T.relu(T.elementwise_add(y, skip))
+        layers = [
+            ConvUnit(f"{name}/conv1", c_in, width, 1),
+            ConvUnit(f"{name}/conv2", width, width, 3, stride, groups=self.cardinality),
+            ConvUnit(f"{name}/conv3", width, c_out, 1, act="none"),
+        ]
+        if se:
+            layers.append(SEUnit(f"{name}/se", c_out, reduction))
+        super().__init__(layers, skip=_shortcut(name, c_in, c_out, stride), act="relu")
 
 
-class DepthwiseSeparable:
+class DepthwiseSeparable(Sequence):
     """Depthwise 3x3 followed by pointwise 1x1, both batch-normed with relu."""
 
     def __init__(self, name, c_in, c_out, stride=1):
         self.name = name
-        self.c_in = c_in
-        self.c_out = c_out
-        self.stride = stride
-        self.dw = ConvUnit(f"{name}/dw", c_in, c_in, 3, stride, groups=c_in)
-        self.pw = ConvUnit(f"{name}/pw", c_in, c_out, 1)
-
-    @property
-    def out_channels(self):
-        return self.c_out
-
-    @property
-    def stride_factor(self):
-        return self.stride
-
-    def decls(self):
-        return self.dw.decls() + self.pw.decls()
-
-    def forward(self, x, w):
-        return self.pw.forward(self.dw.forward(x, w), w)
+        super().__init__([
+            ConvUnit(f"{name}/dw", c_in, c_in, 3, stride, groups=c_in),
+            ConvUnit(f"{name}/pw", c_in, c_out, 1),
+        ])
 
 
-class InvertedResidual:
+class InvertedResidual(Sequence):
     """Expand (1x1) -> depthwise 3x3 -> linear project (1x1), skip when shapes allow."""
 
     def __init__(self, name, c_in, c_out, stride=1, expansion=6):
         if expansion < 1:
             raise ValueError(f"expansion must be >= 1, got {expansion}")
         self.name = name
-        self.c_in = c_in
-        self.c_out = c_out
-        self.stride = stride
-        hidden = c_in * expansion
-        self.expand = None
-        if expansion != 1:
-            self.expand = ConvUnit(f"{name}/expand", c_in, hidden, 1)
-        self.dw = ConvUnit(f"{name}/dw", hidden, hidden, 3, stride, groups=hidden)
-        self.project = ConvUnit(f"{name}/project", hidden, c_out, 1, act="none")
         self.residual = stride == 1 and c_in == c_out
-
-    @property
-    def out_channels(self):
-        return self.c_out
-
-    @property
-    def stride_factor(self):
-        return self.stride
-
-    def decls(self):
-        out = [] if self.expand is None else self.expand.decls()
-        return out + self.dw.decls() + self.project.decls()
-
-    def forward(self, x, w):
-        y = x if self.expand is None else self.expand.forward(x, w)
-        y = self.project.forward(self.dw.forward(y, w), w)
-        if self.residual:
-            y = T.elementwise_add(y, x)
-        return y
+        hidden = c_in * expansion
+        layers = [ConvUnit(f"{name}/expand", c_in, hidden, 1)] if expansion != 1 else []
+        layers += [
+            ConvUnit(f"{name}/dw", hidden, hidden, 3, stride, groups=hidden),
+            ConvUnit(f"{name}/project", hidden, c_out, 1, act="none"),
+        ]
+        super().__init__(layers, skip="identity" if self.residual else None)
 
 
-class _SepConv:
-    """Separable conv used inside xception blocks (no activation of its own)."""
-
-    def __init__(self, name, c_in, c_out, stride=1):
-        self.dw = ConvUnit(f"{name}/dw", c_in, c_in, 3, stride, groups=c_in, act="none")
-        self.pw = ConvUnit(f"{name}/pw", c_in, c_out, 1, act="none")
-
-    def decls(self):
-        return self.dw.decls() + self.pw.decls()
-
-    def forward(self, x, w):
-        return self.pw.forward(self.dw.forward(x, w), w)
-
-
-class XceptionBlock:
-    """Two separable convolutions with an additive (projected) skip."""
+class XceptionBlock(Sequence):
+    """Two separable convolutions (relu between them) with an additive
+    (projected) skip; the second one carries the stride."""
 
     def __init__(self, name, c_in, c_out, stride=1):
         self.name = name
-        self.c_in = c_in
-        self.c_out = c_out
-        self.stride = stride
-        self.sep1 = _SepConv(f"{name}/sep1", c_in, c_out)
-        self.sep2 = _SepConv(f"{name}/sep2", c_out, c_out, stride)
-        self.proj = None
-        if stride != 1 or c_in != c_out:
-            self.proj = ConvUnit(f"{name}/proj", c_in, c_out, 1, stride, act="none")
-
-    @property
-    def out_channels(self):
-        return self.c_out
-
-    @property
-    def stride_factor(self):
-        return self.stride
-
-    def decls(self):
-        out = self.sep1.decls() + self.sep2.decls()
-        if self.proj is not None:
-            out += self.proj.decls()
-        return out
-
-    def forward(self, x, w):
-        y = T.relu(self.sep1.forward(x, w))
-        y = self.sep2.forward(y, w)
-        skip = x if self.proj is None else self.proj.forward(x, w)
-        return T.relu(T.elementwise_add(y, skip))
+        super().__init__([
+            ConvUnit(f"{name}/sep1/dw", c_in, c_in, 3, groups=c_in, act="none"),
+            ConvUnit(f"{name}/sep1/pw", c_in, c_out, 1),
+            ConvUnit(f"{name}/sep2/dw", c_out, c_out, 3, stride, groups=c_out, act="none"),
+            ConvUnit(f"{name}/sep2/pw", c_out, c_out, 1, act="none"),
+        ], skip=_shortcut(name, c_in, c_out, stride), act="relu")
 
 
-class InceptionSEBlock:
+class InceptionSEBlock(Sequence):
     """Four parallel branches (1x1 / 3x3 / double 3x3 / pool-project)
     concatenated and gated by an SE module.
 
@@ -463,47 +392,26 @@ class InceptionSEBlock:
         r3 = max(1, c_out // 4)
         r5 = max(1, c_out // 8)
         self.name = name
-        self.c_in = c_in
-        self.c_out = c_out
-        self.stride = stride
         self.widths = (b1, b3, b5, bp)
-        self.br1 = ConvUnit(f"{name}/b1", c_in, b1, 1, stride)
-        self.br3 = Sequence([
-            ConvUnit(f"{name}/b3_reduce", c_in, r3, 1),
-            ConvUnit(f"{name}/b3", r3, b3, 3, stride),
+        super().__init__([
+            Concat([
+                ConvUnit(f"{name}/b1", c_in, b1, 1, stride),
+                Sequence([
+                    ConvUnit(f"{name}/b3_reduce", c_in, r3, 1),
+                    ConvUnit(f"{name}/b3", r3, b3, 3, stride),
+                ]),
+                Sequence([
+                    ConvUnit(f"{name}/b5_reduce", c_in, r5, 1),
+                    ConvUnit(f"{name}/b5_a", r5, b5, 3),
+                    ConvUnit(f"{name}/b5_b", b5, b5, 3, stride),
+                ]),
+                Sequence([
+                    MaxPoolUnit(3, stride, 1),
+                    ConvUnit(f"{name}/pool_proj", c_in, bp, 1),
+                ]),
+            ]),
+            SEUnit(f"{name}/se", c_out, reduction),
         ])
-        self.br5 = Sequence([
-            ConvUnit(f"{name}/b5_reduce", c_in, r5, 1),
-            ConvUnit(f"{name}/b5_a", r5, b5, 3),
-            ConvUnit(f"{name}/b5_b", b5, b5, 3, stride),
-        ])
-        self.brp = Sequence([
-            MaxPoolUnit(3, stride, 1),
-            ConvUnit(f"{name}/pool_proj", c_in, bp, 1),
-        ])
-        self.se = SEUnit(f"{name}/se", c_out, reduction)
-
-    @property
-    def out_channels(self):
-        return self.c_out
-
-    @property
-    def stride_factor(self):
-        return self.stride
-
-    def decls(self):
-        return (self.br1.decls() + self.br3.decls() + self.br5.decls()
-                + self.brp.decls() + self.se.decls())
-
-    def forward(self, x, w):
-        parts = [
-            self.br1.forward(x, w),
-            self.br3.forward(x, w),
-            self.br5.forward(x, w),
-            self.brp.forward(x, w),
-        ]
-        y = np.concatenate(parts, axis=1)
-        return self.se.forward(y, w)
 
 
 # ---------------------------------------------------------------------------
@@ -522,14 +430,6 @@ class Stage:
         if not self.out_name:
             self.out_name = self.name
 
-    @property
-    def out_channels(self):
-        return self.layer.out_channels
-
-    @property
-    def stride_factor(self):
-        return self.layer.stride_factor
-
 
 class Backbone:
     """Stem + ordered stages + pyramid attachment points.
@@ -539,12 +439,11 @@ class Backbone:
     8/16/32/64.
     """
 
-    def __init__(self, kind, stem, stages, attach, stem_stride, l2norm_levels=()):
+    def __init__(self, kind, stem, stages, attach, l2norm_levels=()):
         self.kind = kind
         self.stem = stem
         self.stages = stages
         self.attach = tuple(attach)
-        self.stem_stride = stem_stride
         self.l2norm_levels = tuple(l2norm_levels)
         if len(self.attach) != 3:
             raise ValueError(f"expected 3 attachment stages, got {self.attach}")
@@ -552,23 +451,6 @@ class Backbone:
     @property
     def pyramid_indices(self):
         return self.attach + (len(self.stages) - 1,)
-
-    def pyramid_channels(self):
-        return [self.stages[i].out_channels for i in self.pyramid_indices]
-
-    def pyramid_names(self):
-        return [self.stages[i].out_name for i in self.pyramid_indices]
-
-    def pyramid_strides(self):
-        cum = self.stem_stride if self.stem is None else self.stem.stride_factor
-        strides = []
-        by_index = {}
-        for i, stage in enumerate(self.stages):
-            cum *= stage.stride_factor
-            by_index[i] = cum
-        for i in self.pyramid_indices:
-            strides.append(by_index[i])
-        return strides
 
     def stage_table(self):
         """(name, out_channels, cumulative stride) per stage, stem first."""
@@ -578,9 +460,22 @@ class Backbone:
             cum *= self.stem.stride_factor
             rows.append(("stem", self.stem.out_channels, cum))
         for stage in self.stages:
-            cum *= stage.stride_factor
-            rows.append((stage.out_name, stage.out_channels, cum))
+            cum *= stage.layer.stride_factor
+            rows.append((stage.out_name, stage.layer.out_channels, cum))
         return rows
+
+    def _pyramid_rows(self):
+        stage_rows = self.stage_table()[-len(self.stages):]
+        return [stage_rows[i] for i in self.pyramid_indices]
+
+    def pyramid_names(self):
+        return [name for name, _, _ in self._pyramid_rows()]
+
+    def pyramid_channels(self):
+        return [c for _, c, _ in self._pyramid_rows()]
+
+    def pyramid_strides(self):
+        return [stride for _, _, stride in self._pyramid_rows()]
 
     def decls(self):
         out = [] if self.stem is None else self.stem.decls()
@@ -624,7 +519,7 @@ def _vgg16(head_depth, wm):
         ConvUnit("backbone/conv6_2", s(head_depth), s(head_depth), 3, stride=2, **kw),
     ])
     stages.append(Stage("conv6", conv6, "conv6_2"))
-    return Backbone("vgg16", None, stages, attach=(3, 4, 5), stem_stride=1, l2norm_levels=(0, 1))
+    return Backbone("vgg16", None, stages, attach=(3, 4, 5), l2norm_levels=(0, 1))
 
 
 def _resnet18(head_depth, wm):
@@ -643,7 +538,7 @@ def _resnet18(head_depth, wm):
         stages.append(Stage(name, Sequence(blocks), f"{name}_2"))
         c_prev = s(c)
     stages.append(Stage("res6", BasicResBlock("backbone/res6", c_prev, s(head_depth), 2)))
-    return Backbone("resnet18", stem, stages, attach=(1, 2, 3), stem_stride=4)
+    return Backbone("resnet18", stem, stages, attach=(1, 2, 3))
 
 
 def _resnext_stem(wm):
@@ -667,7 +562,7 @@ def _resnext26(head_depth, wm):
     for name, c, stride in plan:
         stages.append(Stage(name, ResNeXtBlock(f"backbone/{name}", c_prev, s(c), stride)))
         c_prev = s(c)
-    return Backbone("resnext26", _resnext_stem(wm), stages, attach=(3, 5, 7), stem_stride=4)
+    return Backbone("resnext26", _resnext_stem(wm), stages, attach=(3, 5, 7))
 
 
 def _resnext50(head_depth, wm, se=False):
@@ -693,7 +588,7 @@ def _resnext50(head_depth, wm, se=False):
             stages.append(Stage(name, ResNeXtBlock(f"backbone/{name}", c_prev, s(c), stride, se=se)))
             c_prev = s(c)
     stages.append(Stage(top_name, ResNeXtBlock(f"backbone/{top_name}", c_prev, s(head_depth), 2, se=se)))
-    return Backbone(kind, _resnext_stem(wm), stages, attach=(6, 12, 15), stem_stride=4)
+    return Backbone(kind, _resnext_stem(wm), stages, attach=(6, 12, 15))
 
 
 def _inception_senet(head_depth, wm):
@@ -717,7 +612,7 @@ def _inception_senet(head_depth, wm):
     for name, c, stride in plan:
         stages.append(Stage(name, InceptionSEBlock(f"backbone/{name}", c_prev, s(c), stride)))
         c_prev = s(c)
-    return Backbone("inception_senet", stem, stages, attach=(1, 6, 9), stem_stride=8)
+    return Backbone("inception_senet", stem, stages, attach=(1, 6, 9))
 
 
 def _mobilenetv1(head_depth, wm):
@@ -737,7 +632,7 @@ def _mobilenetv1(head_depth, wm):
     for name, c, stride in plan:
         stages.append(Stage(name, DepthwiseSeparable(f"backbone/{name}", c_prev, s(c), stride)))
         c_prev = s(c)
-    return Backbone("mobilenetv1", stem, stages, attach=(4, 10, 12), stem_stride=2)
+    return Backbone("mobilenetv1", stem, stages, attach=(4, 10, 12))
 
 
 def _mobilenetv2(head_depth, wm):
@@ -757,7 +652,7 @@ def _mobilenetv2(head_depth, wm):
     for name, c, stride, t in plan:
         stages.append(Stage(name, InvertedResidual(f"backbone/{name}", c_prev, s(c), stride, t)))
         c_prev = s(c)
-    return Backbone("mobilenetv2", stem, stages, attach=(4, 12, 16), stem_stride=2)
+    return Backbone("mobilenetv2", stem, stages, attach=(4, 12, 16))
 
 
 def _xception(head_depth, wm):
@@ -777,7 +672,7 @@ def _xception(head_depth, wm):
     stages.append(Stage("conv4_1", DepthwiseSeparable("backbone/conv4_1", c_prev, s(1536), 2)))
     stages.append(Stage("conv4_2", DepthwiseSeparable("backbone/conv4_2", s(1536), s(2048), 1)))
     stages.append(Stage("xception13", XceptionBlock("backbone/xception13", s(2048), s(head_depth), 2)))
-    return Backbone("xception", stem, stages, attach=(10, 11, 13), stem_stride=2)
+    return Backbone("xception", stem, stages, attach=(10, 11, 13))
 
 
 _BUILDERS = {

@@ -8,6 +8,7 @@ emits a canonical key order with exact float round-trips.
 
 from dataclasses import dataclass, field
 import logging
+import math
 import os
 import re
 
@@ -55,6 +56,10 @@ class ModelSpec:
         if not scales:
             scales = tuple(4.0 * s for s in self.anchor_strides)
         set_("anchor_scales", scales)
+        for key in ("width_multiplier", "anchor_scales", "anchor_ratios", "weight_init_sigma"):
+            val = getattr(self, key)
+            if not all(math.isfinite(v) for v in (val if isinstance(val, tuple) else (val,))):
+                raise ValueError(f"{key} must be finite, got {val}")
 
         if not self.name or self.name != self.name.strip() or "\n" in self.name or "#" in self.name:
             raise ValueError(f"name must be a clean single-line string, got {self.name!r}")

@@ -44,12 +44,6 @@ class ConvParams:
             raise ValueError(f"groups must be >= 1, got {self.groups}")
 
 
-def same_padding(kernel):
-    """Symmetric padding that preserves spatial size at stride 1 (odd kernels)."""
-    kh, kw = _as_pair(kernel)
-    return kh // 2 if kh == kw else (kh // 2, kw // 2)
-
-
 def check_feature_map(x, name="input"):
     x = np.asarray(x)
     if x.ndim != 4:

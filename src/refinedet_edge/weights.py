@@ -77,9 +77,6 @@ class WeightBundle:
     def items(self):
         return self._store.items()
 
-    def total_values(self):
-        return sum(a.size for a in self._store.values())
-
     def to_bytes(self) -> bytes:
         """All tensors concatenated as little-endian float32, manifest order."""
         chunks = [a.astype("<f4").tobytes() for a in self._store.values()]

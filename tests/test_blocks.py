@@ -140,10 +140,15 @@ def test_basic_res_block_identity_with_zero_weights():
     np.testing.assert_array_equal(blk.forward(x, bundle), T.relu(x))
 
 
+def decl_names(layer):
+    return [d.name for d in layer.decls()]
+
+
 def test_basic_res_block_projects_on_stride_or_width_change():
-    assert B.BasicResBlock("r", 4, 4).proj is None
-    assert B.BasicResBlock("r", 4, 8).proj is not None
-    assert B.BasicResBlock("r", 4, 4, stride=2).proj is not None
+    same = B.BasicResBlock("r", 4, 4)
+    assert same.skip == "identity" and "r/proj/w" not in decl_names(same)
+    assert "r/proj/w" in decl_names(B.BasicResBlock("r", 4, 8))
+    assert "r/proj/w" in decl_names(B.BasicResBlock("r", 4, 4, stride=2))
     blk = B.BasicResBlock("r", 4, 8, stride=2)
     rng = np.random.default_rng(12)
     out = blk.forward(rand_map((1, 4, 8, 8), 13), fill_bundle(blk.decls(), rng))
@@ -175,12 +180,14 @@ def test_depthwise_separable_is_dw_then_pw():
     blk = B.DepthwiseSeparable("m", 6, 10, stride=2)
     bundle = fill_bundle(blk.decls(), rng)
     x = rand_map((1, 6, 8, 8), 17)
+    dw, pw = blk.layers
+    assert (dw.name, pw.name, blk.skip) == ("m/dw", "m/pw", None)
     got = blk.forward(x, bundle)
-    y = blk.dw.forward(x, bundle)
-    want = blk.pw.forward(y, bundle)
+    y = dw.forward(x, bundle)
+    want = pw.forward(y, bundle)
     np.testing.assert_array_equal(got, want)
     assert got.shape == (1, 10, 4, 4)
-    assert blk.dw.params.groups == 6
+    assert dw.params.groups == 6
 
 
 def test_inverted_residual_skip_rules():
@@ -199,9 +206,11 @@ def test_inverted_residual_skip_rules():
 
 def test_inverted_residual_expansion_one_has_no_expand_conv():
     blk = B.InvertedResidual("i", 8, 4, expansion=1)
-    names = [d.name for d in blk.decls()]
+    names = decl_names(blk)
     assert not any("expand" in n for n in names)
-    assert blk.dw.params.groups == 8  # depthwise over unexpanded input
+    dw = blk.layers[0]
+    assert dw.name == "i/dw"
+    assert dw.params.groups == 8  # depthwise over unexpanded input
 
 
 def test_xception_block_shapes_and_skip():
@@ -209,8 +218,9 @@ def test_xception_block_shapes_and_skip():
     blk = B.XceptionBlock("x", 6, 12, stride=2)
     out = blk.forward(rand_map((1, 6, 8, 8), 20), fill_bundle(blk.decls(), rng))
     assert out.shape == (1, 12, 4, 4)
-    assert B.XceptionBlock("x", 6, 6).proj is None
-    assert B.XceptionBlock("x", 6, 6, stride=2).proj is not None
+    same = B.XceptionBlock("x", 6, 6)
+    assert same.skip == "identity" and "x/proj/w" not in decl_names(same)
+    assert "x/proj/w" in decl_names(B.XceptionBlock("x", 6, 6, stride=2))
 
 
 def test_inception_se_block_branch_widths():
@@ -304,5 +314,5 @@ def test_intermediate_block_family_dispatch():
     for kind, cls in cases.items():
         blk = B.intermediate_block(kind, "mid", 16, 16)
         assert isinstance(blk, cls), kind
-    assert B.intermediate_block("se_resnext50", "mid", 16, 16).se is not None
-    assert B.intermediate_block("resnext50", "mid", 16, 16).se is None
+    assert "mid/se/reduce" in decl_names(B.intermediate_block("se_resnext50", "mid", 16, 16))
+    assert "mid/se/reduce" not in decl_names(B.intermediate_block("resnext50", "mid", 16, 16))

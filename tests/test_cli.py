@@ -74,6 +74,13 @@ def test_bad_config_exits_3(tmp_path, capsys):
     assert "format_version" in capsys.readouterr().err
 
 
+def test_non_finite_config_exits_3(tmp_path, capsys):
+    path = tmp_path / "inf.cfg"
+    path.write_text("format_version = 1\nname = t\nwidth_multiplier = inf\n")
+    assert cli.main(["build", str(path)]) == 3
+    assert "width_multiplier must be finite" in capsys.readouterr().err
+
+
 def test_strict_rejects_unknown_keys(tmp_path, capsys):
     path = tmp_path / "odd.cfg"
     path.write_text("format_version = 1\nname = t\nmystery = 1\n")

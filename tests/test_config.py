@@ -105,6 +105,23 @@ def test_validation_errors_from_values():
         C.parse("format_version = 1\ninput_size = 300\n")
 
 
+@pytest.mark.parametrize("line", [
+    "width_multiplier = inf",
+    "width_multiplier = nan",
+    "anchor_scales = inf,inf,inf,inf",
+    "anchor_scales = nan,32,64,128",
+    "anchor_ratios = 0.5,inf,2.0",
+    "anchor_ratios = nan",
+    "weight_init_sigma = inf",
+    "weight_init_sigma = nan",
+])
+def test_non_finite_values_rejected(line):
+    # inf and nan pass the sign checks; unchecked, they overflow channel
+    # counts or give NaN boxes and empty detection lists without an error
+    with pytest.raises(C.ConfigError, match=f"{line.split()[0]} must be finite"):
+        C.parse(f"format_version = 1\n{line}\n")
+
+
 # ---------------------------------------------------------------------------
 # serialize round trip
 

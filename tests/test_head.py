@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -183,6 +185,41 @@ def test_model_weight_manifest_unique_and_grouped():
     first_head = next(i for i, n in enumerate(names) if n.startswith("head/"))
     assert all(n.startswith("backbone/") for n in names[:first_head])
     assert all(n.startswith("head/") for n in names[first_head:])
+
+
+# blake2b of (name, shape, const, trainable) over the whole manifest, in
+# order, at width 0.0625 with default config values.  init_from_decls draws in
+# manifest order and check_shapes demands the exact name order, so any change
+# here re-seeds every weight and rejects every .wts file written before it.
+MANIFEST_DIGESTS = {
+    ("vgg16", 128): "b99a8f29b587697b",
+    ("vgg16", 256): "c631f25ca432c70c",
+    ("resnet18", 128): "87704b4d602382f0",
+    ("resnet18", 256): "27be9184aae9d7e5",
+    ("resnext26", 128): "e63cba4ba5014744",
+    ("resnext26", 256): "61722a387670d91b",
+    ("resnext50", 128): "8e06c9554a73c6c0",
+    ("resnext50", 256): "166eb28ec522a34b",
+    ("se_resnext50", 128): "c67217408ecad65a",
+    ("se_resnext50", 256): "465af37e7581cd8e",
+    ("inception_senet", 128): "40646a3050b00a4a",
+    ("inception_senet", 256): "f33e35887898ff5b",
+    ("mobilenetv1", 128): "85346a3d4db145f5",
+    ("mobilenetv1", 256): "4767d5db2e751012",
+    ("mobilenetv2", 128): "b3e07c8372cf7906",
+    ("mobilenetv2", 256): "613e448c861c98dc",
+    ("xception", 128): "8d78263afa45062d",
+    ("xception", 256): "6abf378343d136ee",
+}
+
+
+@pytest.mark.parametrize("kind, head_depth", sorted(MANIFEST_DIGESTS))
+def test_model_weight_manifest_is_pinned(kind, head_depth):
+    spec = ModelSpec(backbone=kind, head_depth=head_depth, width_multiplier=0.0625)
+    h = hashlib.blake2b(digest_size=8)
+    for d in H.assemble_model(spec).weight_manifest():
+        h.update(repr((d.name, tuple(int(s) for s in d.shape), d.const, d.trainable)).encode())
+    assert h.hexdigest() == MANIFEST_DIGESTS[kind, head_depth]
 
 
 def test_model_param_count_is_trainable_sum():

@@ -256,13 +256,6 @@ def test_elementwise_add_rejects_mismatch():
 # bookkeeping
 
 
-def test_same_padding():
-    assert T.same_padding(3) == 1
-    assert T.same_padding(1) == 0
-    assert T.same_padding(7) == 3
-    assert T.same_padding((1, 3)) == (0, 1)
-
-
 def test_param_count_hand_cases():
     # plain 3x3, 16 -> 32, bias: 32*16*9 + 32
     assert T.param_count(16, 32, T.ConvParams(3), bias=True) == 32 * 16 * 9 + 32
