@@ -113,14 +113,6 @@ class DeconvUnit:
         self.c_out = c_out
         self.params = T.ConvParams((2, 2), stride=2, padding=0)
 
-    @property
-    def out_channels(self):
-        return self.c_out
-
-    @property
-    def stride_factor(self):
-        return 1  # upsampling layer; never part of downsampling chains
-
     def decls(self):
         return [TensorDecl(f"{self.name}/w", (self.c_in, self.c_out, 2, 2))]
 
@@ -155,12 +147,6 @@ class L2NormUnit:
     def __init__(self, name, channels):
         self.name = name
         self.channels = channels
-
-    @property
-    def out_channels(self):
-        return self.channels
-
-    stride_factor = 1
 
     def decls(self):
         return [TensorDecl(f"{self.name}/scale", (self.channels,), const=self.SCALE_INIT)]

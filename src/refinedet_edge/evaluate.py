@@ -4,7 +4,9 @@ Average precision uses all-point (continuous) interpolation over the full
 precision envelope.  The summary metric averages AP over the ten IoU
 thresholds 0.50, 0.55, ..., 0.95.  Matching is greedy in score order: each
 detection claims the highest-IoU unmatched ground-truth box of its class;
-ignore-flagged boxes absorb detections without counting either way.
+ignore-flagged boxes absorb detections without counting either way.  Each
+class is matched in one pass: one ranking and one IoU row per detection,
+with a separate set of claimed boxes per threshold.
 """
 
 from dataclasses import dataclass, field
@@ -44,11 +46,12 @@ class GroundTruth:
         return len(self.class_ids)
 
 
-def _match_class(detections, gts, class_id, iou_thresh):
-    """Greedy matching for one class.
+def _match_class(detections, gts, class_id, thresholds):
+    """Greedy matching for one class at every threshold in one pass.
 
-    Returns (tp flags in score order for counted detections, n_gt).
-    Detections that land on ignore-flagged boxes are dropped entirely.
+    Returns (flags, n_gt): flags has one row per detection in score order and
+    one column per threshold, holding 1 (true positive), 0 (false positive) or
+    NaN (landed on an ignore-flagged box: not counted at that threshold).
     """
     records = []  # (score, image_id, birth order) for deterministic ranking
     for image_id in sorted(detections):
@@ -57,40 +60,34 @@ def _match_class(detections, gts, class_id, iou_thresh):
             records.append((float(dets.scores[i]), image_id, int(i)))
     records.sort(key=lambda r: (-r[0], r[1], r[2]))
 
+    thr = np.asarray(thresholds, dtype=np.float64)
+    t_rows = np.arange(len(thr))
     n_gt = 0
-    live = {}
-    ignored = {}
+    boxes = {}  # image id -> (live boxes then ignored ones, live count, used)
     for image_id, gt in gts.items():
         sel = gt.class_ids == class_id
         live_sel = sel & ~gt.ignore
-        ign_sel = sel & gt.ignore
-        n_gt += int(live_sel.sum())
-        live[image_id] = [gt.boxes[live_sel], np.zeros(int(live_sel.sum()), dtype=bool)]
-        ignored[image_id] = gt.boxes[ign_sel]
+        k = int(live_sel.sum())
+        n_gt += k
+        both = np.concatenate([gt.boxes[live_sel], gt.boxes[sel & gt.ignore]])
+        boxes[image_id] = (both, k, np.zeros((len(thr), k), dtype=bool))  # a mask per threshold
 
-    tp = []
-    for score, image_id, det_i in records:
-        if image_id not in gts:
-            tp.append(0)
-            continue
-        box = detections[image_id].boxes[det_i : det_i + 1].astype(np.float64)
-        boxes, used = live[image_id]
-        best, best_iou = -1, iou_thresh
-        if len(boxes):
-            overlaps = iou_matrix(box, boxes)[0]
-            overlaps[used] = -1.0
-            j = int(np.argmax(overlaps))
-            if overlaps[j] >= best_iou:
-                best = j
-        if best >= 0:
-            used[best] = True
-            tp.append(1)
-            continue
-        ign_boxes = ignored[image_id]
-        if len(ign_boxes) and iou_matrix(box, ign_boxes)[0].max() >= iou_thresh:
-            continue  # matched an ignore region: not counted at all
-        tp.append(0)
-    return np.asarray(tp, dtype=np.float64), n_gt
+    flags = np.zeros((len(records), len(thr)))
+    for r, (_, image_id, det_i) in enumerate(records):
+        both, k, used = boxes.get(image_id, ((), 0, None))
+        if not len(both):
+            continue  # nothing to overlap: a false positive at every threshold
+        row = iou_matrix(detections[image_id].boxes[det_i : det_i + 1].astype(np.float64), both)[0]
+        hit = np.zeros(len(thr), dtype=bool)
+        if k:
+            overlaps = np.where(used, -1.0, row[:k])
+            best = np.argmax(overlaps, axis=1)
+            hit = overlaps[t_rows, best] >= thr
+            used[t_rows[hit], best[hit]] = True
+        flags[r] = hit
+        if len(both) > k:  # matched an ignore region instead: not counted
+            flags[r, ~hit & (row[k:].max() >= thr)] = np.nan
+    return flags, n_gt
 
 
 def _ap_from_matches(tp, n_gt):
@@ -111,36 +108,39 @@ def _ap_from_matches(tp, n_gt):
     return float(np.sum((mrec[steps + 1] - mrec[steps]) * mpre[steps + 1]))
 
 
-def class_average_precisions(detections, gts, iou_thresh=0.5):
-    """AP per class id.  Classes with zero non-ignored ground truth are
-    skipped (logged), so they never dilute the mean."""
-    if not (0.0 < iou_thresh <= 1.0):
-        raise ValueError(f"iou_thresh must be in (0, 1], got {iou_thresh}")
-    class_ids = set()
+def _class_table(detections, gts, thresholds):
+    """{class id: [AP at each threshold]} for classes with countable ground
+    truth.  Other classes are skipped (logged once), so they never dilute
+    the mean."""
+    if not thresholds:
+        raise ValueError("need at least one threshold")
+    for t in thresholds:
+        if not (0.0 < t <= 1.0):
+            raise ValueError(f"iou_thresh must be in (0, 1], got {t}")
+    class_ids, skipped = set(), set()
     for gt in gts.values():
         class_ids.update(int(c) for c in gt.class_ids[~gt.ignore])
-    skipped = set()
-    for gt in gts.values():
         skipped.update(int(c) for c in gt.class_ids[gt.ignore])
     for dets in detections.values():
         skipped.update(int(c) for c in dets.class_ids)
-    skipped -= class_ids
-    for c in sorted(skipped):
+    for c in sorted(skipped - class_ids):
         log.info("class %d has no countable ground truth; skipped from the mean", c)
 
-    out = {}
+    table = {}
     for c in sorted(class_ids):
-        tp, n_gt = _match_class(detections, gts, c, iou_thresh)
-        out[c] = _ap_from_matches(tp, n_gt)
-    return out
+        flags, n_gt = _match_class(detections, gts, c, thresholds)
+        table[c] = [_ap_from_matches(f[~np.isnan(f)], n_gt) for f in flags.T]
+    return table
+
+
+def class_average_precisions(detections, gts, iou_thresh=0.5):
+    """AP per class id at one IoU threshold ({} if no class is countable)."""
+    return {c: aps[0] for c, aps in _class_table(detections, gts, (iou_thresh,)).items()}
 
 
 def average_precision(detections, gts, iou_thresh=0.5):
     """Mean AP over all classes that own ground truth, at one IoU threshold."""
-    per_class = class_average_precisions(detections, gts, iou_thresh)
-    if not per_class:
-        raise ValueError("no class has countable ground truth; AP is undefined")
-    return float(np.mean(list(per_class.values())))
+    return coco_map(detections, gts, (iou_thresh,)).mean
 
 
 @dataclass(frozen=True)
@@ -150,13 +150,13 @@ class CocoMapResult:
 
 
 def coco_map(detections, gts, thresholds=COCO_THRESHOLDS):
-    """AP averaged over the standard threshold ladder, one threshold at a time."""
+    """AP averaged over classes, then over thresholds; one pass per class."""
     thresholds = tuple(thresholds)
-    if not thresholds:
-        raise ValueError("need at least one threshold")
-    aps = [average_precision(detections, gts, t) for t in thresholds]
-    table = dict(zip(thresholds, aps))
-    return CocoMapResult(float(np.mean(aps)), table)
+    table = _class_table(detections, gts, thresholds)
+    if not table:
+        raise ValueError("no class has countable ground truth; AP is undefined")
+    aps = [float(np.mean([row[k] for row in table.values()])) for k in range(len(thresholds))]
+    return CocoMapResult(float(np.mean(aps)), dict(zip(thresholds, aps)))
 
 
 # ---------------------------------------------------------------------------

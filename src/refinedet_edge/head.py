@@ -382,12 +382,10 @@ def assemble_model(spec):
     return DetectionModel(spec)
 
 
-def build_model(spec, seed=None):
-    """Assemble, initialize (seeded), and bind weights; ready to infer."""
+def build_model(spec):
+    """Assemble, initialize (seeded by spec.seed), and bind weights; ready to infer."""
     from .weights import init_from_decls
 
     model = assemble_model(spec)
-    if seed is None:
-        seed = spec.seed
-    bundle = init_from_decls(model.weight_manifest(), seed, sigma=spec.weight_init_sigma)
+    bundle = init_from_decls(model.weight_manifest(), spec.seed, sigma=spec.weight_init_sigma)
     return model.bind(bundle)

@@ -93,7 +93,6 @@ def test_deconv_unit_doubles():
     bundle = fill_bundle(unit.decls(), rng)
     out = unit.forward(rand_map((1, 3, 5, 7), 5), bundle)
     assert out.shape == (1, 2, 10, 14)
-    assert unit.stride_factor == 1  # never contributes to downsampling chains
 
 
 def test_l2norm_unit_normalizes_then_scales():

@@ -141,12 +141,13 @@ def test_class_ap_matches_gold_randomized():
     compared = 0
     for trial in range(25):
         d, g, d_raw, g_raw = random_problem(rng)
-        per_class = ev.class_average_precisions(d, g, iou_thresh=0.5)
-        for cls, ap in per_class.items():
-            want = class_ap_gold(d_raw, g_raw, cls, 0.5)
-            assert ap == pytest.approx(want, abs=1e-9), f"trial {trial} class {cls}"
-            compared += 1
-    assert compared > 30  # the comparison actually exercised many classes
+        for t in ev.COCO_THRESHOLDS:
+            per_class = ev.class_average_precisions(d, g, iou_thresh=t)
+            for cls, ap in per_class.items():
+                want = class_ap_gold(d_raw, g_raw, cls, t)
+                assert ap == pytest.approx(want, abs=1e-9), f"trial {trial} class {cls} at {t}"
+                compared += 1
+    assert compared > 300  # the comparison actually exercised many classes
 
 
 def test_score_rescaling_invariance():
@@ -173,12 +174,69 @@ def test_coco_thresholds():
 
 def test_coco_map_is_mean_of_per_threshold_aps():
     rng = np.random.default_rng(2)
-    d, g, _, _ = random_problem(rng, n_images=6)
+    d, g, d_raw, g_raw = random_problem(rng, n_images=6)
+    classes = sorted({int(c) for _, cids, ign in g_raw.values() for c in cids[~ign]})
     result = ev.coco_map(d, g)
-    singles = [ev.average_precision(d, g, t) for t in ev.COCO_THRESHOLDS]
-    assert result.mean == pytest.approx(float(np.mean(singles)), abs=1e-12)
-    for t, ap in result.per_threshold.items():
-        assert ap == pytest.approx(singles[list(ev.COCO_THRESHOLDS).index(t)], abs=1e-12)
+    golds = [float(np.mean([class_ap_gold(d_raw, g_raw, c, t) for c in classes]))
+             for t in ev.COCO_THRESHOLDS]
+    assert result.mean == pytest.approx(float(np.mean(golds)), abs=1e-12)
+    assert list(result.per_threshold) == list(ev.COCO_THRESHOLDS)
+    for t, want in zip(ev.COCO_THRESHOLDS, golds):
+        assert result.per_threshold[t] == pytest.approx(want, abs=1e-12)
+
+
+def test_each_threshold_claims_boxes_on_its_own():
+    # A (IoU 0.8) claims the box at 0.5, leaving B (IoU 0.95) a false positive;
+    # at 0.9 A misses, so B must still find the box unclaimed
+    d = {"a": dets([[0, 0, 10, 8], [0, 0, 10, 9.5]], [0.9, 0.8], [1, 1])}
+    g = {"a": gt([[0, 0, 10, 10]], [1])}
+    assert ev.coco_map(d, g, (0.5, 0.9)).per_threshold == {0.5: 1.0, 0.9: 0.5}
+    assert ev.average_precision(d, g, 0.9) == 0.5
+
+
+def test_detection_on_ignore_region_is_dropped_per_threshold():
+    # D (IoU 0.6 with the live box, 1.0 with the ignored one) is a true
+    # positive at 0.5; at 0.8 it lands on the ignore region and is not
+    # counted, so E claims the live box with nothing ranked above it
+    d = {"a": dets([[0, 0, 10, 6], [0, 0, 10, 10]], [0.9, 0.5], [1, 1])}
+    g = {"a": gt([[0, 0, 10, 10], [0, 0, 10, 6]], [1, 1], ignore=[False, True])}
+    assert ev.coco_map(d, g, (0.5, 0.8)).per_threshold == {0.5: 1.0, 0.8: 1.0}
+    assert ev.class_average_precisions(d, g, 0.8) == {1: 1.0}
+
+
+def test_coco_map_matches_each_class_once(monkeypatch):
+    # one IoU row per detection serves every threshold
+    rng = np.random.default_rng(3)
+    d, g, _, _ = random_problem(rng, n_images=6)
+    calls = []
+    iou = ev.iou_matrix
+    monkeypatch.setattr(ev, "iou_matrix", lambda a, b: calls.append(1) or iou(a, b))
+    ev.coco_map(d, g)
+    ladder = len(calls)
+    calls.clear()
+    ev.average_precision(d, g, 0.5)
+    assert 0 < ladder <= len(calls)
+
+
+def test_coco_map_logs_each_skipped_class_once(caplog):
+    d = {"a": dets([[0, 0, 10, 10], [20, 20, 30, 30]], [0.9, 0.8], [1, 7])}
+    g = {"a": gt([[0, 0, 10, 10]], [1])}
+    with caplog.at_level(logging.INFO, logger="refinedet_edge.evaluate"):
+        ev.coco_map(d, g)
+    assert [rec.getMessage() for rec in caplog.records] == [
+        "class 7 has no countable ground truth; skipped from the mean"]
+
+
+@pytest.mark.parametrize("thresholds, match", [
+    ((), "at least one threshold"),
+    ((0.5, 1.5), r"\(0, 1\]"),
+    ((0.0,), r"\(0, 1\]"),
+])
+def test_coco_map_rejects_bad_thresholds(thresholds, match):
+    d = {"a": dets([[0, 0, 10, 10]], [0.9], [1])}
+    g = {"a": gt([[0, 0, 10, 10]], [1])}
+    with pytest.raises(ValueError, match=match):
+        ev.coco_map(d, g, thresholds)
 
 
 # ---------------------------------------------------------------------------
