@@ -11,6 +11,7 @@ disagree by more than 2%.
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 import json
+import os
 import platform
 import time
 
@@ -113,6 +114,27 @@ class ProfileReport:
             raise ValueError(f"not a profile report: missing field {e}") from None
 
 
+def environment():
+    """What kernel speed depends on besides the code: host, interpreter,
+    numpy and its BLAS, CPU count and the BLAS thread settings."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas.get('version', '?')}"
+    except (TypeError, KeyError):  # numpy before 1.25 has no mode="dicts"
+        blas = "unknown"
+    env = {
+        "host": platform.node() or "unknown",
+        "clock": "perf_counter_ns",
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": blas,
+        "cpu_count": os.cpu_count(),
+    }
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        env[var] = os.environ.get(var, "unset")
+    return env
+
+
 def benchmark(model, runs=210, warmup=10, nms_params=None, seed=0):
     """Time `runs` single-image inference passes, discarding the first
     `warmup`.  The model must expose input_size and infer(image, nms_params=,
@@ -171,10 +193,7 @@ def benchmark(model, runs=210, warmup=10, nms_params=None, seed=0):
         warmup=warmup,
         stages=stats,
         fps=1000.0 / total_mean,
-        environment={
-            "host": platform.node() or "unknown",
-            "clock": "perf_counter_ns",
-        },
+        environment=environment(),
         notes=notes,
         sum_check_ok=sum_check_ok,
     )

@@ -222,6 +222,50 @@ def test_model_weight_manifest_is_pinned(kind, head_depth):
     assert h.hexdigest() == MANIFEST_DIGESTS[kind, head_depth]
 
 
+def _signal_bundle(model, seed):
+    # He-scaled convolutions and non-trivial batch-norm statistics: under the
+    # default N(0, 0.01) init the outputs of these models barely depend on
+    # the image or the backbone, and a kernel change could go unseen
+    rng = np.random.default_rng(seed)
+    tensors = []
+    for d in model.weight_manifest():
+        shape = tuple(d.shape)
+        if d.name.endswith("/w"):
+            fan_in = shape[0] if "/up/" in d.name else int(np.prod(shape[1:]))
+            arr = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
+        elif d.name.endswith(("/bn_gamma", "/bn_var")):
+            arr = rng.uniform(0.5, 1.5, size=shape)
+        elif d.name.endswith("/scale"):
+            arr = rng.uniform(5.0, 15.0, size=shape)
+        else:
+            arr = rng.normal(0.0, 0.1, size=shape)
+        tensors.append((d.name, arr.astype(np.float32)))
+    return W.WeightBundle(tensors)
+
+
+# blake2b of the four forward outputs' float32 bytes on one fixed image.
+# Every kernel is deterministic, and the depthwise and batch-norm kernels
+# repeat the float64 arithmetic of a whole-map loop step for step, so a
+# faster kernel must leave these bytes alone.
+FORWARD_DIGESTS = {
+    ("vgg16", 256, 0.0625): "590d69409986cf6c",
+    ("mobilenetv1", 128, 1.0): "b46be0588b80be2e",
+}
+
+
+@pytest.mark.parametrize("kind, head_depth, width", sorted(FORWARD_DIGESTS))
+def test_model_forward_bytes_are_pinned(kind, head_depth, width):
+    spec = ModelSpec(backbone=kind, head_depth=head_depth, width_multiplier=width, num_classes=80)
+    model = H.assemble_model(spec)
+    model.bind(_signal_bundle(model, 3))
+    image = np.random.default_rng(7).random((1, 3, 320, 320), dtype=np.float32)
+    out = model.forward(image)
+    h = hashlib.blake2b(digest_size=8)
+    for arr in (out.arm_obj, out.arm_deltas, out.odm_cls, out.odm_deltas):
+        h.update(arr.tobytes())
+    assert h.hexdigest() == FORWARD_DIGESTS[kind, head_depth, width]
+
+
 def test_model_param_count_is_trainable_sum():
     model = H.assemble_model(thin_spec())
     decls = model.weight_manifest()

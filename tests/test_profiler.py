@@ -1,4 +1,5 @@
 import json
+import os
 import time
 
 import numpy as np
@@ -354,6 +355,22 @@ def test_render_strip_timings_blanks_numbers():
     assert f"note: {P.TIMING_NOTE}" in text  # methodology note survives
     csv = P.render_report(report, fmt="csv", strip_timings=True)
     assert "backbone,-,-,20" in csv
+
+
+def test_environment_record_is_byte_stable_under_strip_timings(monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    texts = []
+    for _ in range(2):
+        report = P.benchmark(DelayModel({"backbone": 0.2, "nms": 0.1}), runs=4, warmup=1)
+        texts.append(P.render_report(report, fmt="text", strip_timings=True))
+    env = report.environment
+    assert env["numpy"] == np.__version__
+    assert env["cpu_count"] == os.cpu_count()
+    assert env["OPENBLAS_NUM_THREADS"] == "1" and env["OMP_NUM_THREADS"] == "unset"
+    assert {"host", "clock", "python", "blas"} <= set(env)
+    assert texts[0] == texts[1]
+    assert "OPENBLAS_NUM_THREADS=1" in texts[0] and f"numpy={np.__version__}" in texts[0]
 
 
 def test_render_unknown_format():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -112,6 +114,98 @@ def test_conv2d_rejects_bad_shapes():
         T.conv2d(x, np.zeros((2, 4, 7, 1), np.float32), None, T.ConvParams((7, 1)))
     with pytest.raises(ValueError, match="does not match params.kernel"):
         T.conv2d(x, np.zeros((2, 4, 3, 3), np.float32), None, T.ConvParams(1))
+
+
+def _depthwise_in_order(x, w, b, s, p):
+    # the per-tap loop over the whole map: +0.0, then each exact product
+    # added tap by tap in row-major kernel order, then the bias
+    kh, kw = w.shape[2:]
+    xp = np.pad(x.astype(np.float64), ((0, 0), (0, 0), (p, p), (p, p)))
+    oh = (xp.shape[2] - kh) // s + 1
+    ow = (xp.shape[3] - kw) // s + 1
+    acc = np.zeros((x.shape[0], x.shape[1], oh, ow))
+    for i in range(kh):
+        for j in range(kw):
+            patch = xp[:, :, i : i + s * (oh - 1) + 1 : s, j : j + s * (ow - 1) + 1 : s]
+            acc += patch * w[:, 0, i, j].astype(np.float64)[None, :, None, None]
+    if b is not None:
+        acc = acc + b.astype(np.float64)[None, :, None, None]
+    return acc.astype(np.float32)
+
+
+@pytest.mark.parametrize("n, c, h, w, k, s, p", [
+    (2, 131, 20, 23, 3, 1, 1),   # prime channel count: the last block is partial
+    (2, 131, 21, 17, 3, 2, 1),
+    (1, 67, 15, 40, 3, 2, 0),    # unpadded stride 2: the last input column is never read
+    (2, 5, 9, 7, 5, 3, 2),
+    (1, 3, 190, 181, 3, 1, 1),   # one plane is larger than a block
+    (2, 6, 8, 11, (1, 3), 1, 0),
+])
+def test_conv2d_depthwise_is_the_in_order_sum(n, c, h, w, k, s, p):
+    rng = np.random.default_rng(c + h)
+    x = rand((n, c, h, w), rng)
+    x[x < 0] = 0.0  # relu zeros: a sum of -0.0 products is still +0.0
+    kh, kw = T.ConvParams(k).kernel
+    wt = rand((c, 1, kh, kw), rng)
+    for b in (rand((c,), rng), None):
+        got = T.conv2d(x, wt, b, T.ConvParams(k, stride=s, padding=p, groups=c))
+        assert got.tobytes() == _depthwise_in_order(x, wt, b, s, p).tobytes()
+
+
+@pytest.mark.parametrize("n, c, h, w", [(2, 131, 20, 23), (1, 3, 190, 181), (2, 1031, 5, 3)])
+def test_batch_norm_is_the_in_order_formula(n, c, h, w):
+    rng = np.random.default_rng(c)
+    x = rand((n, c, h, w), rng)
+    mean, gamma, beta = (rng.standard_normal(c).astype(np.float32) for _ in range(3))
+    var = (rng.random(c) + 0.1).astype(np.float32)
+    got = T.batch_norm_inference(x, mean, var, gamma, beta)
+    m, v, g, b = (a.astype(np.float64)[None, :, None, None] for a in (mean, var, gamma, beta))
+    want = (g * (x.astype(np.float64) - m) / np.sqrt(v + 1e-5) + b).astype(np.float32)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n, c_in, c_out, h, w, k, s, p, g", [
+    (2, 6, 4, 9, 7, 3, 1, 1, 1),
+    (1, 8, 6, 9, 10, 3, 2, 1, 2),    # grouped, 1 < g < c_in
+    (1, 12, 6, 7, 9, 3, 1, 0, 3),
+    (2, 5, 7, 9, 8, 1, 2, 0, 1),     # 1x1, stride 2
+    (1, 5, 7, 5, 6, 1, 1, 1, 1),     # 1x1, padded
+    (1, 5, 7, 7, 6, 1, 1, 0, 1),     # 1x1, stride 1, unpadded: the input is its own columns
+])
+@pytest.mark.parametrize("rows", [1, 2])
+def test_conv2d_im2col_chunks_match_gold(n, c_in, c_out, h, w, k, s, p, g, rows, monkeypatch):
+    # a chunk of `rows` output rows; oh is odd, so never a multiple of 2
+    rng = np.random.default_rng(c_in * k + s)
+    x = rand((n, c_in, h, w), rng)
+    wt = rand((c_out, c_in // g, k, k), rng)
+    b = rand((c_out,), rng)
+    params = T.ConvParams(k, stride=s, padding=p, groups=g)
+    whole = T.conv2d(x, wt, b, params)
+    oh, ow = whole.shape[2:]
+    assert oh % 2 == 1
+    monkeypatch.setattr(T, "IM2COL_BLOCK", rows * n * ow * max(c_in * k * k, c_out))
+    got = T.conv2d(x, wt, b, params)
+    np.testing.assert_allclose(got, conv2d_gold(x, wt, b, s, p, groups=g), rtol=RTOL, atol=ATOL)
+    assert np.array_equal(got, whole)  # the chunk size never changes a sum
+
+
+def test_conv2d_im2col_scratch_is_bounded(monkeypatch):
+    # 256 -> 256, 3x3 at 40x40: unchunked columns alone would be 29 MB, 18x
+    # the float32 output.  Chunked, the peak is the float64 weights (2.9x),
+    # the padded input, 2 MiB of columns, the GEMM result chunk and the output
+    rng = np.random.default_rng(11)
+    x = rand((1, 256, 40, 40), rng)
+    wt = rand((256, 256, 3, 3), rng, scale=0.02)
+    params = T.ConvParams(3, padding=1)
+    tracemalloc.start()
+    try:
+        got = T.conv2d(x, wt, None, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * got.nbytes
+    monkeypatch.setattr(T, "IM2COL_BLOCK", 2**30)
+    assert np.array_equal(got, T.conv2d(x, wt, None, params))
 
 
 # ---------------------------------------------------------------------------
