@@ -5,12 +5,15 @@ Two desk-size models with opposite cost profiles:
   A: 320-input vgg16, full 256-deep heads   heavy compute, 6 375 anchor rows
   B: 512-input mobilenetv1, slim 128 heads  light compute, 16 320 anchor rows
 
-Under a small suppression budget (max_input 400, conf 0.1) convolution
-time dominates both models.  Raising the budget to (1000, 500, 0.01) floods
-the suppressor with candidates, and suppression becomes most of each
-model's runtime: in one run on a 2-CPU VM the nms share grew from 12% to
-86% for A and from 18% to 85% for B, while A stayed the faster model under
-both budgets (7.70 vs 6.55 fps, then 1.46 vs 1.04 fps).
+Under a small suppression budget (max_input 400, conf 0.1) no candidate
+reaches suppression, and nms is only the scoring of every anchor's classes.
+Raising the budget to (1000, 500, 0.01) floods the suppressor with
+candidates, and nms becomes the largest stage of each model: in one run on
+a 2-CPU VM the nms share grew from 21% to 47% for A and from 31% to 64% for
+B, while A stayed the faster model under both budgets (16.12 vs 11.79 fps,
+then 9.62 vs 6.71 fps).  Suppression stops once max_output boxes are kept in
+the merged ranking, so it examines a few thousand of the capped candidates;
+without that early exit the same machine read 20% -> 91% and 33% -> 92%.
 
 The ranking does not flip under the default seeded init: every class
 probability sits near 1/81, so the small budget passes no candidates at all

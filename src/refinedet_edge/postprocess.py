@@ -90,11 +90,15 @@ class NmsCounters:
     """Instrumentation: pairwise IoU evaluations and per-class candidate loads.
 
     `iou_evals` is the work of greedy suppression taken one kept box at a
-    time: for each kept box, the number of same-class members still alive
-    after it in rank order.  `nms_greedy` computes this count from its tiles;
-    it is not the number of IoUs the tiles evaluate, and `iou_matrix` is not
-    called.  `candidates_per_class` maps a class id to the members that
-    entered suppression after the max_input cap.  Both add up over calls.
+    time, over the members up to and including the max_output-th kept box
+    of the merged ranking (every member when fewer are kept): each of them
+    counts the same-class kept boxes ranked before it, up to and including
+    the first that removes it.  Members ranked after that box cannot change
+    the output and are not counted.  `nms_greedy` computes this count from
+    its tiles; it is not the number of IoUs the tiles evaluate, and
+    `iou_matrix` is not called.  `candidates_per_class` maps a class id to
+    the members the max_input cap admits to suppression, whether or not
+    the early exit reaches them.  Both add up over calls.
     """
 
     iou_evals: int = 0
@@ -241,10 +245,35 @@ def arm_filter(background_probs, neg_thresh=DEFAULT_NEG_THRESH):
 # 96 and 128, tried with wider masks, were 15-30% slower.
 NMS_TILE = 64
 
+# `nms_greedy` first suppresses the leading PREFIX_START * max_output pool
+# members of the merged ranking, and takes PREFIX_GROWTH times as many on
+# each further pass that keeps fewer than max_output boxes.  A redone pass
+# repeats at most 1 / (PREFIX_GROWTH - 1) of the last one's members.
+PREFIX_START = 8
+PREFIX_GROWTH = 4
+
 
 def _ranked(scores, ids):
     """Order by score descending, ties by lower id."""
     return np.lexsort((ids, -scores.astype(np.float64)))
+
+
+def _prefix(scores, pool, n_pool, k):
+    """Mask of the first k pool members in merged order (`pool` itself when
+    k == n_pool).
+
+    The k-th largest pool score v is found by partitioning a float32 copy of
+    the scores.  Every score above v is a pool member, and so is every score
+    equal to v; the lowest ids among the equals fill the prefix to k.
+    """
+    if k == n_pool:
+        return pool
+    s = np.where(pool, scores, np.float32(-np.inf))
+    s.partition(len(s) - k)
+    v = s[len(s) - k]
+    mask = scores > v
+    mask[np.flatnonzero(scores == v)[: k - np.count_nonzero(mask)]] = True
+    return mask
 
 
 def _tile_overlaps(rows, cols, iou_thresh, scratch):
@@ -270,8 +299,12 @@ def _tile_overlaps(rows, cols, iou_thresh, scratch):
     return np.greater(tmp, iou_thresh, out=over)
 
 
-def _suppress_class(cols, iou_thresh, scratch, counters):
-    """Greedy suppression of one class's ranked members; returns kept ranks.
+def _suppress_class(cols, iou_thresh, scratch):
+    """Greedy suppression of one class's ranked members.
+
+    Returns the kept ranks and, per member, its IoU evaluations in the
+    row-at-a-time loop: the kept boxes ranked before it that it is compared
+    with, up to and including the first that removes it.
 
     `cols` holds the members in rank order as x0, y0, x1, y1, area rows.
     `live` lists the ranks no kept box has removed yet, and every one of
@@ -284,6 +317,7 @@ def _suppress_class(cols, iou_thresh, scratch, counters):
     are compressed for the next tile.
     """
     live = np.arange(cols.shape[1])
+    evals = np.zeros(cols.shape[1], np.int64)
     kept = []
     while len(live):
         t = min(NMS_TILE, len(live))
@@ -297,16 +331,42 @@ def _suppress_class(cols, iou_thresh, scratch, counters):
                 dead |= mask
         by_kept = over[tile_kept]
         hit = by_kept.any(axis=0)
-        if counters is not None:
-            # The row-at-a-time loop compares a member with every kept box
-            # ranked before it, up to and including the first that removes it.
-            first = np.where(hit, by_kept.argmax(axis=0) + 1, len(tile_kept))
-            before = np.searchsorted(tile_kept, np.arange(t))
-            counters.iou_evals += int(np.minimum(first[:t], before).sum() + first[t:].sum())
+        # A row meets only the kept rows before it; a later column meets
+        # every kept row up to its first remover.
+        first = np.where(hit, by_kept.argmax(axis=0) + 1, len(tile_kept))
+        first[:t] = np.minimum(first[:t], np.searchsorted(tile_kept, np.arange(t)))
+        evals[live] += first
         kept.append(live[tile_kept])
         survivors = np.flatnonzero(~hit[t:]) + t
         live, cols = live[survivors], cols[:, survivors]
-    return np.concatenate(kept)
+    return np.concatenate(kept), evals
+
+
+def _suppress_prefix(dets, mask, iou_thresh, max_input):
+    """Greedy suppression of the pool members in `mask`, a merged-order prefix.
+
+    Returns their ids in merged order, which of them are kept, and each
+    one's IoU evaluations.  The members are grouped by class once; a
+    member's rank within its group is its class rank in the whole pool, so
+    the per-class max_input cap is the group's first max_input.
+    """
+    ids = np.flatnonzero(mask)
+    order = ids[_ranked(dets.scores[ids], ids)]
+    classes = dets.class_ids[order]
+    by_class = np.argsort(classes, kind="stable")
+    groups = [pos[:max_input] for pos in
+              np.split(by_class, np.flatnonzero(np.diff(classes[by_class])) + 1)]
+    size = NMS_TILE * max(map(len, groups))
+    scratch = (np.empty(size), np.empty(size), np.empty(size), np.empty(size, bool))
+
+    kept = np.zeros(len(order), bool)
+    evals = np.zeros(len(order), np.int64)
+    for pos in groups:
+        x0, y0, x1, y1 = dets.boxes[order[pos]].astype(np.float64).T
+        area = np.clip(x1 - x0, 0, None) * np.clip(y1 - y0, 0, None)
+        ranks, evals[pos] = _suppress_class(np.stack([x0, y0, x1, y1, area]), iou_thresh, scratch)
+        kept[pos[ranks]] = True
+    return order, kept, evals
 
 
 def nms_greedy(dets, iou_thresh=DEFAULT_IOU_THRESH, params=NmsParams(),
@@ -319,48 +379,56 @@ def nms_greedy(dets, iou_thresh=DEFAULT_IOU_THRESH, params=NmsParams(),
     above iou_thresh; the merged result is score-sorted and truncated to
     max_output.  Returned indices point into the input set.
 
-    Suppression runs in tiles rather than one kept box at a time: the next
-    NMS_TILE surviving boxes of a class are compared with every surviving
-    box from them on in one broadcast, resolved in rank order among
-    themselves, and the later boxes they remove are dropped before the next
-    tile (see `_suppress_class`).  The result is exactly the greedy one: the
-    IoU steps are those of `iou_matrix`, so each `> iou_thresh` decision is
-    bit-identical, and a box is kept iff no earlier kept box overlaps it.
-    Scratch memory is NMS_TILE rows by the largest class.
+    Suppression stops once the result is settled.  A class's rank order is
+    the merged order (score descending, ties to the lower id) restricted to
+    the class, so whether a box is kept depends only on boxes ahead of it in
+    the merged order.  A merged-order prefix of the capped pool that holds
+    max_output kept boxes therefore decides the output: the prefix starts at
+    PREFIX_START * max_output members and grows by PREFIX_GROWTH until it
+    does, or until it is the whole pool.  The prefix is chosen on float32
+    scores; the conf_thresh test runs in float64 without a float64 copy.
+
+    Within the prefix, suppression runs in tiles rather than one kept box at
+    a time: the next NMS_TILE surviving boxes of a class are compared with
+    every surviving box from them on in one broadcast, resolved in rank
+    order among themselves, and the later boxes they remove are dropped
+    before the next tile (see `_suppress_class`).  The result is exactly the
+    greedy one: the IoU steps are those of `iou_matrix`, so each
+    `> iou_thresh` decision is bit-identical, and a box is kept iff no
+    earlier kept box overlaps it.  Scratch memory is NMS_TILE rows by the
+    largest class in the prefix.
     """
     if not (0.0 <= iou_thresh < 1.0):
         raise ValueError(f"iou_thresh must be in [0, 1), got {iou_thresh}")
     if cap_scope not in CAP_SCOPES:
         raise ValueError(f"cap_scope must be one of {CAP_SCOPES}, got {cap_scope!r}")
 
-    pool = np.flatnonzero(dets.scores.astype(np.float64) >= params.conf_thresh)
-    if len(pool) == 0:
+    pool = np.greater_equal(dets.scores, params.conf_thresh,
+                            signature=(np.float64, np.float64, np.bool_))
+    n_pool = int(np.count_nonzero(pool))
+    if n_pool == 0:
         return DetectionSet.empty()
-    if cap_scope == "per_image" and len(pool) > params.max_input:
-        order = _ranked(dets.scores[pool], pool)
-        pool = np.sort(pool[order[: params.max_input]])
+    # A per-image cap keeps the first max_input members of the merged ranking.
+    limit = min(n_pool, params.max_input) if cap_scope == "per_image" else n_pool
+    if counters is not None:
+        classes, counts = np.unique(dets.class_ids[_prefix(dets.scores, pool, n_pool, limit)],
+                                    return_counts=True)
+        for cls, n in zip(classes.tolist(), np.minimum(counts, params.max_input).tolist()):
+            counters.candidates_per_class[cls] = counters.candidates_per_class.get(cls, 0) + n
 
-    pool_classes = dets.class_ids[pool]
-    classes, counts = np.unique(pool_classes, return_counts=True)
-    size = NMS_TILE * min(int(counts.max()), params.max_input)
-    scratch = (np.empty(size), np.empty(size), np.empty(size), np.empty(size, bool))
+    k = min(limit, PREFIX_START * params.max_output)
+    while True:
+        order, kept, evals = _suppress_prefix(dets, _prefix(dets.scores, pool, n_pool, k),
+                                              iou_thresh, params.max_input)
+        if k == limit or np.count_nonzero(kept) >= params.max_output:
+            break
+        k = min(limit, PREFIX_GROWTH * k)
 
-    kept = []
-    for cls in classes:
-        members = pool[pool_classes == cls]
-        # Members ascend by id, so a stable sort breaks score ties by lower
-        # id.  The cap binds per class only: a per-image pool is capped.
-        members = members[np.argsort(-dets.scores[members], kind="stable")[: params.max_input]]
-        if counters is not None:
-            counters.candidates_per_class[int(cls)] = counters.candidates_per_class.get(int(cls), 0) + len(members)
-        x0, y0, x1, y1 = dets.boxes[members].astype(np.float64).T
-        area = np.clip(x1 - x0, 0, None) * np.clip(y1 - y0, 0, None)
-        cols = np.stack([x0, y0, x1, y1, area])
-        kept.append(members[_suppress_class(cols, iou_thresh, scratch, counters)])
-
-    kept = np.concatenate(kept)
-    order = _ranked(dets.scores[kept], kept)
-    return dets.take(kept[order][: params.max_output])
+    kept = np.flatnonzero(kept)[: params.max_output]
+    if counters is not None:
+        end = kept[-1] + 1 if len(kept) == params.max_output else len(order)
+        counters.iou_evals += int(evals[:end].sum())
+    return dets.take(order[kept])
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +449,8 @@ def pipeline(arm_obj_logits, arm_deltas, odm_cls_logits, odm_deltas, anchors,
     Steps: soften objectness and drop confident background anchors; refine
     surviving priors with the first-stage deltas; decode final boxes from the
     refined priors; score classes; suppress.  Returned indices are anchor
-    rows, so outputs stay traceable to their priors.
+    rows, so outputs stay traceable to their priors.  Objectness or class
+    logits holding NaN or inf raise ValueError.
     """
     arm_obj_logits = np.asarray(arm_obj_logits)
     if arm_obj_logits.ndim != 2 or arm_obj_logits.shape[1] != 2:
@@ -390,6 +459,12 @@ def pipeline(arm_obj_logits, arm_deltas, odm_cls_logits, odm_deltas, anchors,
     anchors = np.asarray(anchors).reshape(-1, 4)
     if anchors.shape[0] != n_anchors:
         raise ValueError(f"{n_anchors} objectness rows for {anchors.shape[0]} anchors")
+    odm_cls_logits = np.asarray(odm_cls_logits)
+    # A NaN objectness fails every arm_filter test and would return no boxes.
+    for name, logits in (("objectness", arm_obj_logits), ("class", odm_cls_logits)):
+        bad = logits.size - int(np.count_nonzero(np.isfinite(logits)))
+        if bad:
+            raise ValueError(f"{name} logits have {bad} non-finite values (NaN or inf) of {logits.size}")
 
     with span(timer, "arm_filter"):
         obj = softmax(arm_obj_logits, axis=1)
@@ -400,7 +475,7 @@ def pipeline(arm_obj_logits, arm_deltas, odm_cls_logits, odm_deltas, anchors,
         boxes = decode(refined, np.asarray(odm_deltas)[kept], variances, image_size=image_size)
 
     with span(timer, "nms"):
-        cls_probs = softmax(np.asarray(odm_cls_logits)[kept], axis=1)[:, 1:]
+        cls_probs = softmax(odm_cls_logits[kept], axis=1)[:, 1:]
         rows, cols = np.nonzero(cls_probs >= nms_params.conf_thresh)
         candidates = DetectionSet(
             boxes[rows],

@@ -150,11 +150,15 @@ def nms_gold(boxes, scores, class_ids, iou_thresh, max_input, max_output,
 
 
 def nms_iou_evals_gold(boxes, scores, class_ids, iou_thresh, max_input, conf_thresh,
-                       cap_scope="per_class"):
+                       cap_scope="per_class", max_output=None):
     """The work of nms_gold's loop, counted by definition.
 
     Returns (IoU evaluations, {class id: members entering suppression}): each
-    kept box is compared with every member still listed after it.
+    kept box is compared with every member still listed after it.  With
+    max_output set, the loop runs only over the members up to and including
+    the max_output-th kept box of the merged ranking (all members when fewer
+    are kept), since nothing ranked after that box changes nms_gold's output.
+    The per-class counts are always the members admitted by the cap.
     """
     def rank(ix):
         return sorted(ix, key=lambda i: (-float(scores[i]), i))
@@ -163,6 +167,13 @@ def nms_iou_evals_gold(boxes, scores, class_ids, iou_thresh, max_input, conf_thr
     if cap_scope == "per_image":
         pool = rank(pool)[:max_input]
 
+    last = None
+    if max_output is not None:
+        out = nms_gold(boxes, scores, class_ids, iou_thresh, max_input, max_output,
+                       conf_thresh, cap_scope)
+        if len(out) == max_output:
+            last = (-float(scores[out[-1]]), out[-1])
+
     evals = 0
     per_class = {}
     for cls in sorted({int(class_ids[i]) for i in pool}):
@@ -170,6 +181,8 @@ def nms_iou_evals_gold(boxes, scores, class_ids, iou_thresh, max_input, conf_thr
         if cap_scope == "per_class":
             members = members[:max_input]
         per_class[cls] = len(members)
+        if last is not None:
+            members = [m for m in members if (-float(scores[m]), m) <= last]
         while members:
             best = members.pop(0)
             evals += len(members)

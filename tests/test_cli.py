@@ -160,6 +160,23 @@ def test_bench_rejects_mismatched_weights(tmp_path, capsys):
     assert "weights file is for model 't', config names 'u'" in err
 
 
+def test_bench_rejects_nan_weights(tmp_path, capsys):
+    from refinedet_edge.weights import WeightBundle, load_wts
+
+    path = write_cfg(tmp_path)
+    wts = tmp_path / "t.wts"
+    assert cli.main(["build", str(path), "--weights", str(wts)]) == 0
+    bundle, name = load_wts(wts)
+    tensors = {n: a.copy() for n, a in bundle.items()}
+    first = next(iter(tensors))
+    tensors[first].flat[0] = np.nan
+    save_wts(wts, WeightBundle(tensors.items()), name)
+    capsys.readouterr()
+    assert cli.main(["bench", str(path), "--runs", "3", "--warmup", "1",
+                     "--weights", str(wts)]) == 3
+    assert "objectness logits have" in capsys.readouterr().err
+
+
 def test_report_rejects_garbage_json(tmp_path, capsys):
     path = tmp_path / "junk.json"
     path.write_text("{not json")

@@ -303,6 +303,26 @@ def test_infer_rejects_non_finite_images(triple):
         model.infer(one_inf, nms_params=params)
 
 
+def test_infer_rejects_non_finite_predictions(tmp_path):
+    # One NaN weight makes every objectness logit NaN.  arm_filter then drops
+    # every anchor, so unchecked the image would come back with no boxes.
+    from refinedet_edge.postprocess import NmsParams
+
+    spec = thin_spec(backbone="vgg16", head_depth=256, num_classes=80)
+    model = H.assemble_model(spec)
+    tensors = dict(W.init_from_decls(model.weight_manifest(), seed=1).items())
+    tensors["backbone/conv1_1/w"] = tensors["backbone/conv1_1/w"].copy()
+    tensors["backbone/conv1_1/w"][0, 0, 0, 0] = np.nan
+    path = tmp_path / "nan.wts"
+    W.save_wts(path, W.WeightBundle(tensors.items()), spec.name)
+    bundle, _ = W.load_wts(path)
+    model.bind(bundle)
+    image = np.random.default_rng(7).random((1, 3, 320, 320), dtype=np.float32)
+    for triple in [(400, 200, 0.1), (1000, 500, 0.01)]:
+        with pytest.raises(ValueError, match="objectness logits have 12750 non-finite values"):
+            model.infer(image, nms_params=NmsParams(*triple))
+
+
 def test_model_infer_accepts_unbatched_image():
     model = H.build_model(thin_spec())
     img = np.random.default_rng(4).random((3, 320, 320), dtype=np.float32)

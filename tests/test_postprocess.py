@@ -151,7 +151,8 @@ def run_both(dets, iou_thresh, params, cap_scope):
                     params.max_input, params.max_output, params.conf_thresh, cap_scope)
     np.testing.assert_array_equal(got.indices, np.asarray(want, np.int64))
     evals, per_class = nms_iou_evals_gold(dets.boxes, dets.scores, dets.class_ids, iou_thresh,
-                                          params.max_input, params.conf_thresh, cap_scope)
+                                          params.max_input, params.conf_thresh, cap_scope,
+                                          params.max_output)
     assert counters.iou_evals == evals
     assert counters.candidates_per_class == per_class
     uncounted = pp.nms_greedy(dets, iou_thresh, params, cap_scope=cap_scope)
@@ -330,6 +331,126 @@ def test_nms_grid_boxes_at_exact_threshold(iou_thresh):
         run_both(dets, iou_thresh, pp.NmsParams(k, k, 0.0), scope)
 
 
+# ---------------------------------------------------------------------------
+# early exit: suppression stops at a merged-order prefix holding max_output
+# kept boxes
+
+
+def count_passes(monkeypatch):
+    """Record the prefix size of every suppression pass nms_greedy makes."""
+    sizes = []
+    suppress = pp._suppress_prefix
+
+    def spy(dets, mask, *args):
+        sizes.append(int(np.count_nonzero(mask)))
+        return suppress(dets, mask, *args)
+
+    monkeypatch.setattr(pp, "_suppress_prefix", spy)
+    return sizes
+
+
+def test_nms_prefix_grows_past_duplicates(monkeypatch):
+    # the 300 strongest boxes are copies of one box per class: the first
+    # prefix keeps one box per class, so it must grow to reach max_output
+    rng = np.random.default_rng(17)
+    dets = random_dets(rng, 600, n_classes=2)
+    top = np.argsort(-dets.scores)[:300]
+    dets.boxes[top] = np.where(dets.class_ids[top, None] == 1, dets.boxes[0], dets.boxes[1])
+    sizes = count_passes(monkeypatch)
+    for scope in pp.CAP_SCOPES:
+        sizes.clear()
+        params = pp.NmsParams(600, 10, 0.0)
+        got = run_both(dets, 0.45, params, scope)
+        assert len(got) == 10
+        assert sizes == [80, 320] * 2  # run_both calls nms_greedy twice
+
+
+def test_nms_equal_scores_straddle_prefix_boundary(monkeypatch):
+    # three score levels over ids in shuffled order: every prefix boundary
+    # cuts through a run of equal scores, which only the id orders
+    rng = np.random.default_rng(18)
+    dets = random_dets(rng, 240, n_classes=3, size=120.0)
+    dets.scores = rng.choice(np.array([0.25, 0.5, 0.75], np.float32), len(dets))
+    sizes = count_passes(monkeypatch)
+    for max_output in (1, 2, 3, 5, 8, 13):
+        for scope in pp.CAP_SCOPES:
+            run_both(dets, 0.45, pp.NmsParams(240, max_output, 0.3), scope)
+    assert min(sizes) < 240
+
+
+def test_nms_per_image_cap_binds_with_early_exit(monkeypatch):
+    rng = np.random.default_rng(19)
+    dets = random_dets(rng, 300, n_classes=3)
+    sizes = count_passes(monkeypatch)
+    for max_output in (1, 4, 20, 200):
+        run_both(dets, 0.45, pp.NmsParams(100, max_output, 0.1), "per_image")
+    assert max(sizes) == 100 and min(sizes) < 100
+
+
+def test_nms_per_class_cap_binds_inside_prefix(monkeypatch):
+    # class 1 holds the 100 strongest boxes; its cap of 10 binds inside the
+    # first prefix, so later classes fill the output
+    rng = np.random.default_rng(20)
+    dets = random_dets(rng, 400, n_classes=4)
+    dets.class_ids[np.argsort(-dets.scores)[:100]] = 1
+    sizes = count_passes(monkeypatch)
+    got = run_both(dets, 0.45, pp.NmsParams(10, 30, 0.0), "per_class")
+    assert sizes == [240] * 2
+    assert np.count_nonzero(got.class_ids == 1) <= 10
+
+
+def test_nms_max_output_one():
+    rng = np.random.default_rng(21)
+    for trial in range(10):
+        dets = random_dets(rng, 150, n_classes=4)
+        for scope in pp.CAP_SCOPES:
+            got = run_both(dets, 0.45, pp.NmsParams(50, 1, 0.2), scope)
+            assert len(got) == 1
+
+
+def test_nms_max_output_past_total_kept_counts_every_member():
+    # when max_output does not bind, the truncated count is the full one
+    rng = np.random.default_rng(22)
+    dets = class_blocks(rng, TILE_SIZES)
+    for scope in pp.CAP_SCOPES:
+        params = pp.NmsParams(len(dets), len(dets), 0.0)
+        got = run_both(dets, 0.45, params, scope)
+        assert len(got) < len(dets)
+        counters = pp.NmsCounters()
+        pp.nms_greedy(dets, 0.45, params, counters=counters, cap_scope=scope)
+        full, _ = nms_iou_evals_gold(dets.boxes, dets.scores, dets.class_ids, 0.45,
+                                     params.max_input, params.conf_thresh, scope)
+        assert counters.iou_evals == full
+
+
+def server_pool():
+    """The server budget's shape: 6375 anchors x 80 classes, every class
+    probability above conf_thresh 0.01."""
+    rng = np.random.default_rng(23)
+    n, c = 6375, 80
+    xy = rng.random((n, 2)) * 280.0
+    wh = rng.random((n, 2)) * 60.0 + 10.0
+    boxes = np.repeat(np.concatenate([xy, xy + wh], axis=1), c, axis=0)
+    scores = rng.uniform(0.012, 0.0127, n * c).astype(np.float32)
+    return pp.DetectionSet(boxes, scores, np.tile(np.arange(1, c + 1, dtype=np.int32), n))
+
+
+def test_nms_memory_stays_below_a_float64_pool_copy():
+    # 510 000 candidates: one float64 copy of their scores is 3.9 MiB.
+    # nms_greedy peaked at 8.8 MiB before the early exit and at 3.4 MiB after.
+    import tracemalloc
+
+    dets = server_pool()
+    tracemalloc.start()
+    try:
+        got = pp.nms_greedy(dets, 0.45, pp.NmsParams(1000, 500, 0.01))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(got) == 500
+    assert peak < 4 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+
 def test_nms_empty_input():
     out = pp.nms_greedy(pp.DetectionSet.empty(), 0.45, pp.NmsParams())
     assert len(out) == 0
@@ -387,6 +508,19 @@ def test_pipeline_arm_filter_blocks_everything_when_confident_background():
     out = pp.pipeline(arm_obj, arm_deltas, odm_cls, odm_deltas, anchors,
                       pp.NmsParams(400, 200, 0.1), image_size=320)
     assert len(out) == 0
+
+
+def test_pipeline_rejects_non_finite_logits():
+    anchors, arm_obj, arm_deltas, odm_cls, odm_deltas, hot = build_pipeline_case()
+    odm_cls[hot[1], 2] = np.inf
+    with pytest.raises(ValueError, match="class logits have 1 non-finite values"):
+        pp.pipeline(arm_obj, arm_deltas, odm_cls, odm_deltas, anchors,
+                    pp.NmsParams(400, 200, 0.1), image_size=320)
+    odm_cls[hot[1], 2] = 0.0
+    arm_obj[:5, 1] = np.nan  # background anchors: arm_filter would drop them
+    with pytest.raises(ValueError, match="objectness logits have 5 non-finite values"):
+        pp.pipeline(arm_obj, arm_deltas, odm_cls, odm_deltas, anchors,
+                    pp.NmsParams(400, 200, 0.1), image_size=320)
 
 
 def test_pipeline_arm_deltas_refine_before_decode():
