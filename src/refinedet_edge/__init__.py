@@ -69,6 +69,7 @@ from .weights import (
     init_from_decls,
     load_wts,
     save_wts,
+    sha256_64,
 )
 
 __version__ = "0.1.0"
@@ -122,6 +123,7 @@ __all__ = [
     "render_sweep",
     "scaled",
     "serialize",
+    "sha256_64",
     "table_experiments",
     "write_config",
     "write_detections",

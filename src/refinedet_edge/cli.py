@@ -84,8 +84,8 @@ def _cmd_build(args):
         for line in model.notes:
             print(f"note: {line}")
     if args.weights_out:
-        save_wts(args.weights_out, model.weights, spec.name)
-        print(f"weights: wrote {args.weights_out} (digest {model.weights.digest():#018x})")
+        digest = save_wts(args.weights_out, model.weights, spec.name)
+        print(f"weights: wrote {args.weights_out} (digest {digest:#018x})")
     return 0
 
 

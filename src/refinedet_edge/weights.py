@@ -2,18 +2,28 @@
 
 A bundle is an ordered name -> float32 array mapping.  On disk it is a text
 manifest (names + shapes + digest) followed by one flat little-endian float32
-stream; the digest is 64-bit FNV-1a over that stream.
+stream.  Files are written as `format_version = 2`, whose digest is the first
+8 bytes of SHA-256 over that stream (`sha256_64`); version 1 files, digested
+with 64-bit FNV-1a (`fnv1a64`), are still read and verified.
 """
 
 from dataclasses import dataclass
+import hashlib
+import re
 
 import numpy as np
 
 WTS_MAGIC = "refinedet-edge-weights"
-WTS_FORMAT_VERSION = 1
+WTS_FORMAT_VERSION = 2
+# format_version -> name of the digest function in this module; looked up at
+# call time, so a wrapper installed on the module sees every call
+WTS_DIGESTS = {1: "fnv1a64", 2: "sha256_64"}
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
+
+_UINT = re.compile(r"[0-9]+")
+_HEX64 = re.compile(r"0x[0-9a-fA-F]{1,16}")
 
 
 def fnv1a64(data: bytes) -> int:
@@ -24,6 +34,11 @@ def fnv1a64(data: bytes) -> int:
     for b in data:
         h = ((h ^ b) * prime) & mask
     return h
+
+
+def sha256_64(data) -> int:
+    """The first 8 bytes of SHA-256 of a byte string, as a big-endian integer."""
+    return int.from_bytes(hashlib.sha256(data).digest()[:8], "big")
 
 
 @dataclass(frozen=True)
@@ -83,7 +98,7 @@ class WeightBundle:
         return b"".join(chunks)
 
     def digest(self) -> int:
-        return fnv1a64(self.to_bytes())
+        return sha256_64(self.to_bytes())
 
 
 def check_shapes(bundle, decls):
@@ -128,7 +143,7 @@ def gaussian_values(bundle, decls):
 def save_wts(path, bundle, model_name=""):
     """Write a bundle: text manifest, digest, then the raw float32 stream."""
     blob = bundle.to_bytes()
-    digest = fnv1a64(blob)
+    digest = sha256_64(blob)
     lines = [
         WTS_MAGIC,
         f"format_version = {WTS_FORMAT_VERSION}",
@@ -147,10 +162,19 @@ def save_wts(path, bundle, model_name=""):
     return digest
 
 
-def load_wts(path):
-    """Read a bundle back; verifies sizes and the stored digest.
+def _header_int(path, line, text, digest=False):
+    """`text`, a field of header `line`: a decimal count, or the hex digest."""
+    pattern, what = (_HEX64, "a 64-bit hex digest") if digest else (_UINT, "a non-negative integer")
+    if not pattern.fullmatch(text):
+        raise ValueError(f"{path}: bad header line {line!r}: {text!r} is not {what}")
+    return int(text, 16 if digest else 10)
 
-    Returns (bundle, model_name).
+
+def load_wts(path):
+    """Read a bundle back; verifies the header, sizes and the stored digest.
+
+    Every malformed file raises ValueError naming `path` and the offending
+    header line.  Returns (bundle, model_name).
     """
     with open(path, "rb") as f:
         raw = f.read()
@@ -159,42 +183,56 @@ def load_wts(path):
         raise ValueError(f"{path}: not a weight bundle (bad magic line)")
     # split header lines until the data marker
     pos = nl + 1
-    meta = {}
+    meta = {}  # key -> (value, the line it came from)
     decls = []
     while True:
         nl = raw.find(b"\n", pos)
         if nl < 0:
             raise ValueError(f"{path}: truncated header (no data marker)")
-        line = raw[pos:nl].decode("utf-8")
+        try:
+            line = raw[pos:nl].decode("utf-8")
+        except UnicodeDecodeError:
+            raise ValueError(f"{path}: header line {raw[pos:nl]!r} is not UTF-8 text") from None
         pos = nl + 1
+        parts = line.split()
         if line.startswith("tensor "):
-            parts = line.split()
-            name = parts[1]
-            shape = tuple(int(d) for d in parts[2:])
-            decls.append((name, shape))
+            if len(parts) < 2:
+                raise ValueError(f"{path}: bad header line {line!r}: no tensor name")
+            decls.append((parts[1], tuple(_header_int(path, line, d) for d in parts[2:])))
         elif line.startswith("data "):
-            nbytes = int(line.split()[1])
+            if len(parts) != 2:
+                raise ValueError(f"{path}: bad header line {line!r}: expected 'data <nbytes>'")
+            nbytes = _header_int(path, line, parts[1])
             break
         elif "=" in line:
             k, _, v = line.partition("=")
-            meta[k.strip()] = v.strip()
+            meta[k.strip()] = (v.strip(), line)
         else:
             raise ValueError(f"{path}: unrecognized header line {line!r}")
-    version = int(meta.get("format_version", "-1"))
-    if version != WTS_FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported format_version {version}")
-    blob = raw[pos : pos + nbytes]
-    if len(blob) != nbytes:
-        raise ValueError(f"{path}: expected {nbytes} data bytes, file holds {len(blob)}")
+
+    def number(key, digest=False):
+        if key not in meta:
+            raise ValueError(f"{path}: header has no {key!r} line")
+        value, line = meta[key]
+        return _header_int(path, line, value, digest)
+
+    version = number("format_version")
+    if version not in WTS_DIGESTS:
+        raise ValueError(f"{path}: unsupported format_version {version} "
+                         f"(this build reads {sorted(WTS_DIGESTS)})")
+    stored = number("digest", digest=True)
+    if len(raw) - pos != nbytes:
+        raise ValueError(f"{path}: header line {line!r} declares {nbytes} data bytes, "
+                         f"file holds {len(raw) - pos} after the header")
     expected = sum(int(np.prod(s, dtype=np.int64)) for _, s in decls) * 4
     if nbytes != expected:
         raise ValueError(f"{path}: manifest declares {expected} bytes of tensors, data block has {nbytes}")
-    stored = int(meta.get("digest", "0"), 16)
-    actual = fnv1a64(blob)
+    if "tensor_count" in meta and number("tensor_count") != len(decls):
+        raise ValueError(f"{path}: tensor_count {meta['tensor_count'][0]} != {len(decls)} manifest lines")
+    blob = memoryview(raw)[pos:]
+    actual = globals()[WTS_DIGESTS[version]](blob)
     if stored != actual:
         raise ValueError(f"{path}: digest mismatch (stored {stored:#018x}, computed {actual:#018x})")
-    if int(meta.get("tensor_count", len(decls))) != len(decls):
-        raise ValueError(f"{path}: tensor_count {meta.get('tensor_count')} != {len(decls)} manifest lines")
     tensors = []
     off = 0
     for name, shape in decls:
@@ -202,4 +240,4 @@ def load_wts(path):
         arr = np.frombuffer(blob, dtype="<f4", count=n, offset=off).reshape(shape).copy()
         tensors.append((name, arr))
         off += n * 4
-    return WeightBundle(tensors), meta.get("model", "")
+    return WeightBundle(tensors), meta.get("model", ("",))[0]

@@ -160,6 +160,18 @@ def test_bench_rejects_mismatched_weights(tmp_path, capsys):
     assert "weights file is for model 't', config names 'u'" in err
 
 
+def test_bench_rejects_corrupt_weights(tmp_path, capsys):
+    path = write_cfg(tmp_path)
+    wts = tmp_path / "t.wts"
+    assert cli.main(["build", str(path), "--weights", str(wts)]) == 0
+    wts.write_bytes(wts.read_bytes() + b"junk")
+    capsys.readouterr()
+    assert cli.main(["bench", str(path), "--runs", "3", "--warmup", "1",
+                     "--weights", str(wts)]) == 3
+    err = capsys.readouterr().err
+    assert f"error: {wts}: header line 'data " in err and "after the header" in err
+
+
 def test_bench_rejects_nan_weights(tmp_path, capsys):
     from refinedet_edge.weights import WeightBundle, load_wts
 
