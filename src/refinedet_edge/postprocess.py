@@ -8,7 +8,10 @@ use (x_min, y_min, width, height).
 The NMS stage is parameterized by a triple (max_input, max_output,
 conf_thresh): candidates below conf_thresh are dropped, at most max_input
 survivors enter each greedy suppression pass, and at most max_output boxes
-leave per image.
+leave per image.  A candidate is an (anchor, class) pair of the class
+probability matrix: the pipeline hands that matrix to suppression as it is
+(`ScoreMatrix`), where tests and callers with their own boxes pass a
+`DetectionSet` row per candidate.
 """
 
 from contextlib import nullcontext
@@ -83,6 +86,54 @@ class DetectionSet:
         order = np.asarray(order, dtype=np.int64)
         return DetectionSet(self.boxes[order], self.scores[order],
                             self.class_ids[order], self.indices[order])
+
+    # The candidate accessors `nms_greedy` reads; `ScoreMatrix` has the same.
+
+    def class_ids_of(self, ids):
+        return self.class_ids[ids]
+
+    def boxes_of(self, ids):
+        return self.boxes[ids]
+
+
+@dataclass
+class ScoreMatrix:
+    """Suppression candidates read straight from the class probabilities.
+
+    `probs` is the (kept anchors x C) foreground probability matrix, `boxes`
+    the decoded corner box of each kept anchor, and `anchor_ids` each kept
+    anchor's row among all anchors.  Candidate i is flat position i of
+    `probs`: kept anchor i // C, class id i % C + 1.  The flat order is the
+    row-major order in which `np.nonzero` lists the matrix, so a candidate
+    ranks, ties and caps as it would in a `DetectionSet` of every pair, while
+    boxes and class ids are computed only for the candidates asked for.
+    `len()` is the number of candidates at or above `conf_thresh`, tested in
+    float64 as `nms_greedy` tests them.
+    """
+
+    probs: np.ndarray
+    boxes: np.ndarray
+    anchor_ids: np.ndarray
+    conf_thresh: float
+
+    def __post_init__(self):
+        self.probs = np.ascontiguousarray(self.probs, dtype=np.float32)
+        self.scores = self.probs.reshape(-1)
+
+    def __len__(self):
+        return int(np.count_nonzero(np.greater_equal(
+            self.scores, self.conf_thresh, signature=(np.float64, np.float64, np.bool_))))
+
+    def class_ids_of(self, ids):
+        return ids % self.probs.shape[1] + 1
+
+    def boxes_of(self, ids):
+        return self.boxes[ids // self.probs.shape[1]]
+
+    def take(self, ids):
+        """The candidates `ids` as detections indexed by anchor row."""
+        return DetectionSet(self.boxes_of(ids), self.scores[ids], self.class_ids_of(ids),
+                            self.anchor_ids[ids // self.probs.shape[1]])
 
 
 @dataclass
@@ -219,11 +270,17 @@ def encode(boxes, anchors, variances=VARIANCES):
 
 
 def softmax(logits, axis=-1):
-    """Numerically stable softmax (float64 internally, float32 out)."""
-    z = np.asarray(logits, dtype=np.float64)
-    z = z - z.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    return (e / e.sum(axis=axis, keepdims=True)).astype(np.float32)
+    """Numerically stable softmax (float64 internally, float32 out).
+
+    Computed in place on one float64 copy: each step is the same elementwise
+    operation as in `e = exp(z - max); e / sum(e)`, so the output bytes are
+    those of that formula without its two further temporaries.
+    """
+    z = np.array(logits, dtype=np.float64)
+    z -= z.max(axis=axis, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=axis, keepdims=True)
+    return z.astype(np.float32)
 
 
 def arm_filter(background_probs, neg_thresh=DEFAULT_NEG_THRESH):
@@ -263,14 +320,16 @@ def _prefix(scores, pool, n_pool, k):
     k == n_pool).
 
     The k-th largest pool score v is found by partitioning a float32 copy of
-    the scores.  Every score above v is a pool member, and so is every score
-    equal to v; the lowest ids among the equals fill the prefix to k.
+    the pool's scores alone (filling the other members with -inf instead made
+    partition ten times slower on a pool of a tenth of the scores).  Every
+    score above v is a pool member, and so is every score equal to v; the
+    lowest ids among the equals fill the prefix to k.
     """
     if k == n_pool:
         return pool
-    s = np.where(pool, scores, np.float32(-np.inf))
-    s.partition(len(s) - k)
-    v = s[len(s) - k]
+    s = scores[pool]
+    s.partition(n_pool - k)
+    v = s[n_pool - k]
     mask = scores > v
     mask[np.flatnonzero(scores == v)[: k - np.count_nonzero(mask)]] = True
     return mask
@@ -352,7 +411,7 @@ def _suppress_prefix(dets, mask, iou_thresh, max_input):
     """
     ids = np.flatnonzero(mask)
     order = ids[_ranked(dets.scores[ids], ids)]
-    classes = dets.class_ids[order]
+    classes = dets.class_ids_of(order)
     by_class = np.argsort(classes, kind="stable")
     groups = [pos[:max_input] for pos in
               np.split(by_class, np.flatnonzero(np.diff(classes[by_class])) + 1)]
@@ -362,7 +421,7 @@ def _suppress_prefix(dets, mask, iou_thresh, max_input):
     kept = np.zeros(len(order), bool)
     evals = np.zeros(len(order), np.int64)
     for pos in groups:
-        x0, y0, x1, y1 = dets.boxes[order[pos]].astype(np.float64).T
+        x0, y0, x1, y1 = dets.boxes_of(order[pos]).astype(np.float64).T
         area = np.clip(x1 - x0, 0, None) * np.clip(y1 - y0, 0, None)
         ranks, evals[pos] = _suppress_class(np.stack([x0, y0, x1, y1, area]), iou_thresh, scratch)
         kept[pos[ranks]] = True
@@ -377,7 +436,15 @@ def nms_greedy(dets, iou_thresh=DEFAULT_IOU_THRESH, params=NmsParams(),
     survivors (per class, or per image under cap_scope="per_image") enter
     suppression; a kept box removes same-class rivals with IoU strictly
     above iou_thresh; the merged result is score-sorted and truncated to
-    max_output.  Returned indices point into the input set.
+    max_output.
+
+    `dets` is either a `DetectionSet`, one row per candidate, or the
+    `ScoreMatrix` that `pipeline` passes, one candidate per (anchor, class)
+    pair.  Both give `scores` in candidate order and the boxes and class
+    ids of the candidates asked for, so one suppression loop serves both.
+    The result is a `DetectionSet` whose indices are the input's `indices`
+    column at the kept rows (their positions when the set was built without
+    one) for a `DetectionSet`, and anchor rows for a `ScoreMatrix`.
 
     Suppression stops once the result is settled.  A class's rank order is
     the merged order (score descending, ties to the lower id) restricted to
@@ -411,9 +478,11 @@ def nms_greedy(dets, iou_thresh=DEFAULT_IOU_THRESH, params=NmsParams(),
     # A per-image cap keeps the first max_input members of the merged ranking.
     limit = min(n_pool, params.max_input) if cap_scope == "per_image" else n_pool
     if counters is not None:
-        classes, counts = np.unique(dets.class_ids[_prefix(dets.scores, pool, n_pool, limit)],
-                                    return_counts=True)
-        for cls, n in zip(classes.tolist(), np.minimum(counts, params.max_input).tolist()):
+        capped = _prefix(dets.scores, pool, n_pool, limit)
+        # bincount, not unique: no sorted copy of up to every member's class id
+        counts = np.bincount(dets.class_ids_of(np.flatnonzero(capped)))
+        classes = np.flatnonzero(counts)
+        for cls, n in zip(classes.tolist(), np.minimum(counts[classes], params.max_input).tolist()):
             counters.candidates_per_class[cls] = counters.candidates_per_class.get(cls, 0) + n
 
     k = min(limit, PREFIX_START * params.max_output)
@@ -448,9 +517,15 @@ def pipeline(arm_obj_logits, arm_deltas, odm_cls_logits, odm_deltas, anchors,
 
     Steps: soften objectness and drop confident background anchors; refine
     surviving priors with the first-stage deltas; decode final boxes from the
-    refined priors; score classes; suppress.  Returned indices are anchor
-    rows, so outputs stay traceable to their priors.  Objectness or class
-    logits holding NaN or inf raise ValueError.
+    refined priors; score classes; suppress.  Scoring makes no candidate
+    list: `nms_greedy` reads the (kept anchors x classes) foreground
+    probability matrix as a `ScoreMatrix`, and boxes and class ids are looked
+    up only for the candidates suppression examines.  Returned indices are
+    anchor rows, so outputs stay traceable to their priors.
+
+    Objectness must be (anchors, 2), class logits (anchors, >= 2) and both
+    delta arrays (anchors, 4); another shape, or objectness or class logits
+    holding NaN or inf, raise ValueError.
     """
     arm_obj_logits = np.asarray(arm_obj_logits)
     if arm_obj_logits.ndim != 2 or arm_obj_logits.shape[1] != 2:
@@ -460,6 +535,16 @@ def pipeline(arm_obj_logits, arm_deltas, odm_cls_logits, odm_deltas, anchors,
     if anchors.shape[0] != n_anchors:
         raise ValueError(f"{n_anchors} objectness rows for {anchors.shape[0]} anchors")
     odm_cls_logits = np.asarray(odm_cls_logits)
+    # Background-only class logits would leave no foreground column and
+    # return no boxes; extra or missing rows would pair logits with the
+    # wrong anchors.
+    shape = odm_cls_logits.shape
+    if len(shape) != 2 or shape[0] != n_anchors or shape[1] < 2:
+        raise ValueError(f"class logits must be ({n_anchors} anchors, >= 2), got {shape}")
+    arm_deltas, odm_deltas = np.asarray(arm_deltas), np.asarray(odm_deltas)
+    for name, deltas in (("arm_deltas", arm_deltas), ("odm_deltas", odm_deltas)):
+        if deltas.shape != (n_anchors, 4):
+            raise ValueError(f"{name} must be ({n_anchors} anchors, 4), got {deltas.shape}")
     # A NaN objectness fails every arm_filter test and would return no boxes.
     for name, logits in (("objectness", arm_obj_logits), ("class", odm_cls_logits)):
         bad = logits.size - int(np.count_nonzero(np.isfinite(logits)))
@@ -471,22 +556,14 @@ def pipeline(arm_obj_logits, arm_deltas, odm_cls_logits, odm_deltas, anchors,
         kept = arm_filter(obj[:, 0], neg_thresh)
 
     with span(timer, "decode"):
-        refined = apply_deltas(anchors[kept], np.asarray(arm_deltas)[kept], variances)
-        boxes = decode(refined, np.asarray(odm_deltas)[kept], variances, image_size=image_size)
+        refined = apply_deltas(anchors[kept], arm_deltas[kept], variances)
+        boxes = decode(refined, odm_deltas[kept], variances, image_size=image_size)
 
     with span(timer, "nms"):
-        cls_probs = softmax(odm_cls_logits[kept], axis=1)[:, 1:]
-        rows, cols = np.nonzero(cls_probs >= nms_params.conf_thresh)
-        candidates = DetectionSet(
-            boxes[rows],
-            cls_probs[rows, cols],
-            cols.astype(np.int32) + 1,
-        )
-        result = nms_greedy(candidates, iou_thresh, nms_params,
-                            counters=counters, cap_scope=cap_scope)
-        # map candidate rows back to anchor ids for provenance
-        result.indices = kept[rows[result.indices]] if len(result) else result.indices
-    return result
+        candidates = ScoreMatrix(softmax(odm_cls_logits[kept], axis=1)[:, 1:], boxes, kept,
+                                 nms_params.conf_thresh)
+        return nms_greedy(candidates, iou_thresh, nms_params,
+                          counters=counters, cap_scope=cap_scope)
 
 
 # ---------------------------------------------------------------------------

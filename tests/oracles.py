@@ -149,6 +149,37 @@ def nms_gold(boxes, scores, class_ids, iou_thresh, max_input, max_output,
     return rank(kept)[:max_output]
 
 
+def softmax_gold(logits, axis=-1):
+    """The three-temporary softmax formula: float64 in, float32 out."""
+    z = np.asarray(logits, dtype=np.float64)
+    z = z - z.max(axis=axis, keepdims=True)
+    e = np.exp(z)
+    return (e / e.sum(axis=axis, keepdims=True)).astype(np.float32)
+
+
+def pipeline_nonzero_route(arm_obj, arm_deltas, odm_cls, odm_deltas, anchors, params, *,
+                           iou_thresh, neg_thresh, cap_scope, image_size, counters=None):
+    """Post-processing by the route that lists every candidate.
+
+    The one helper here that calls the library: it scores with `softmax_gold`,
+    lists every foreground probability at or above conf_thresh (a float32
+    test) with `np.nonzero` as a `DetectionSet` row, suppresses that set with
+    `nms_greedy` and maps its rows back to anchor ids.  The pipeline must give
+    the same detections and counters from the probability matrix itself.
+    """
+    from refinedet_edge import postprocess as pp
+
+    kept = pp.arm_filter(softmax_gold(arm_obj, axis=1)[:, 0], neg_thresh)
+    refined = pp.apply_deltas(np.asarray(anchors)[kept], np.asarray(arm_deltas)[kept])
+    boxes = pp.decode(refined, np.asarray(odm_deltas)[kept], image_size=image_size)
+    probs = softmax_gold(np.asarray(odm_cls)[kept], axis=1)[:, 1:]
+    rows, cols = np.nonzero(probs >= params.conf_thresh)
+    listed = pp.DetectionSet(boxes[rows], probs[rows, cols], cols.astype(np.int32) + 1)
+    out = pp.nms_greedy(listed, iou_thresh, params, counters, cap_scope)
+    out.indices = kept[rows[out.indices]]
+    return out
+
+
 def nms_iou_evals_gold(boxes, scores, class_ids, iou_thresh, max_input, conf_thresh,
                        cap_scope="per_class", max_output=None):
     """The work of nms_gold's loop, counted by definition.

@@ -13,6 +13,7 @@ import pytest
 from refinedet_edge import postprocess, tensor_ops
 from refinedet_edge.config import ModelSpec
 from refinedet_edge.head import build_model
+from oracles import softmax_gold
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
@@ -43,6 +44,30 @@ def test_nms_greedy_signature():
     params = inspect.signature(postprocess.nms_greedy).parameters
     assert list(params) == ["dets", "iou_thresh", "params", "counters", "cap_scope"]
     assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params.values())
+
+
+@pytest.mark.parametrize("triple, want", [((400, 200, 0.1), 0), ((1000, 500, 0.01), None)],
+                         ids=["edge", "server"])
+def test_nms_greedy_input_has_a_length(monkeypatch, triple, want):
+    # bench/spans.py reads len(args[0]) of every nms_greedy call for
+    # postprocess.candidates: the foreground probabilities at or above
+    # conf_thresh (none at the edge budget under the default init)
+    model = build_model(ModelSpec(backbone="vgg16", head_depth=256, width_multiplier=0.0625,
+                                  num_classes=80))
+    lengths = []
+    nms_greedy = postprocess.nms_greedy
+    monkeypatch.setattr(postprocess, "nms_greedy", lambda dets, *args, **kwargs:
+                        lengths.append(len(dets)) or nms_greedy(dets, *args, **kwargs))
+    image = np.random.default_rng(0).random((1, 3, 320, 320), dtype=np.float32)
+    params = postprocess.NmsParams(*triple)
+    model.infer(image, nms_params=params)
+    if want is None:
+        raw = model.forward(image)
+        kept = postprocess.arm_filter(softmax_gold(raw.arm_obj[0], axis=1)[:, 0])
+        probs = softmax_gold(raw.odm_cls[0][kept], axis=1)[:, 1:].astype(np.float64)
+        want = int(np.count_nonzero(probs >= params.conf_thresh))
+        assert want > 0
+    assert lengths == [want]
 
 
 @pytest.mark.parametrize("kind", ["resnext50", "se_resnext50", "xception", "mobilenetv2",

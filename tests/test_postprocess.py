@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 
 from refinedet_edge import postprocess as pp
-from oracles import apply_deltas_gold, decode_gold, iou_gold, nms_gold, nms_iou_evals_gold
+from oracles import (
+    apply_deltas_gold, decode_gold, iou_gold, nms_gold, nms_iou_evals_gold,
+    pipeline_nonzero_route, softmax_gold,
+)
 
 
 def random_boxes(rng, k, size=320.0):
@@ -119,6 +122,18 @@ def test_apply_deltas_validations():
         pp.apply_deltas(np.array([[10.0, 10.0, 0.0, 5.0]]), np.zeros((1, 4)))
     with pytest.raises(ValueError, match="variances must be positive"):
         pp.apply_deltas(anchors, np.zeros((1, 4)), variances=(0.0, 0.2))
+
+
+@pytest.mark.parametrize("cols", [2, 81])  # objectness and class logits
+def test_softmax_bytes_equal_the_three_temporary_formula(cols):
+    rng = np.random.default_rng(25)
+    cases = [rng.normal(0.0, s, (6375, cols)).astype(np.float32) for s in (0.01, 1.0, 30.0)]
+    extreme = rng.choice([-3.4e38, -1e4, -700.0, 0.0, 1e-30, 700.0, 1e4, 3.4e38], size=(64, cols))
+    cases += [extreme, extreme.astype(np.float32)]
+    for x in cases:
+        before = x.copy()
+        assert pp.softmax(x, axis=1).tobytes() == softmax_gold(x, axis=1).tobytes()
+        assert np.array_equal(x, before)  # the float64 input is copied, not overwritten
 
 
 def test_softmax_rows_sum_to_one_and_handle_extremes():
@@ -551,6 +566,126 @@ def test_pipeline_rejects_bad_shapes():
     with pytest.raises(ValueError, match="objectness rows"):
         pp.pipeline(arm_obj[:10], arm_deltas, odm_cls, odm_deltas, anchors,
                     pp.NmsParams(), image_size=320)
+    bad = {
+        # three extra rows used to pair logits with the wrong anchors
+        "class logits must be \\(40 anchors, >= 2\\), got \\(43, 4\\)":
+            (arm_deltas, np.concatenate([odm_cls, odm_cls[:3]]), odm_deltas),
+        # background alone used to return no detections and raise nothing
+        "class logits must be .*got \\(40, 1\\)": (arm_deltas, odm_cls[:, :1], odm_deltas),
+        "class logits must be .*got \\(39, 4\\)": (arm_deltas, odm_cls[:-1], odm_deltas),
+        "class logits must be .*got \\(160,\\)": (arm_deltas, odm_cls.reshape(-1), odm_deltas),
+        "odm_deltas must be \\(40 anchors, 4\\), got \\(39, 4\\)": (arm_deltas, odm_cls, odm_deltas[:-1]),
+        "arm_deltas must be .*got \\(40, 3\\)": (arm_deltas[:, :3], odm_cls, odm_deltas),
+        "arm_deltas must be .*got \\(160,\\)": (arm_deltas.reshape(-1), odm_cls, odm_deltas),
+    }
+    for message, (a_deltas, cls, o_deltas) in bad.items():
+        with pytest.raises(ValueError, match=message):
+            pp.pipeline(arm_obj, a_deltas, cls, o_deltas, anchors, pp.NmsParams(), image_size=320)
+
+
+def assert_matches_nonzero_route(case, params, scope):
+    """The pipeline against the route that lists every candidate as a
+    DetectionSet row: equal detections, column by column, and equal
+    counters.  Returns the detections."""
+    anchors, arm_obj, arm_deltas, odm_cls, odm_deltas = case
+    want_counters, got_counters = pp.NmsCounters(), pp.NmsCounters()
+    want = pipeline_nonzero_route(arm_obj, arm_deltas, odm_cls, odm_deltas, anchors, params,
+                                  iou_thresh=pp.DEFAULT_IOU_THRESH,
+                                  neg_thresh=pp.DEFAULT_NEG_THRESH, cap_scope=scope,
+                                  image_size=320, counters=want_counters)
+    got = pp.pipeline(arm_obj, arm_deltas, odm_cls, odm_deltas, anchors, params,
+                      cap_scope=scope, image_size=320, counters=got_counters)
+    for column in ("indices", "boxes", "scores", "class_ids"):
+        a, b = getattr(got, column), getattr(want, column)
+        assert a.dtype == b.dtype
+        np.testing.assert_array_equal(a, b, err_msg=column)
+    assert got_counters.iou_evals == want_counters.iou_evals
+    assert got_counters.candidates_per_class == want_counters.candidates_per_class
+    return got
+
+
+@pytest.fixture(scope="module")
+def signal_predictions():
+    """Predictions of the benchmark's thin vgg16-320 (80 classes) under
+    He-scaled weights, where tens of thousands of candidates pass both
+    budgets' conf_thresh."""
+    from refinedet_edge.config import ModelSpec
+    from refinedet_edge.head import assemble_model
+    from test_head import _signal_bundle
+
+    model = assemble_model(ModelSpec(backbone="vgg16", head_depth=256, width_multiplier=0.0625,
+                                     num_classes=80))
+    model.bind(_signal_bundle(model, 3))
+    raw = model.forward(np.random.default_rng(7).random((1, 3, 320, 320), dtype=np.float32))
+    return model.anchors.boxes, raw.arm_obj[0], raw.arm_deltas[0], raw.odm_cls[0], raw.odm_deltas[0]
+
+
+@pytest.mark.parametrize("scope", pp.CAP_SCOPES)
+@pytest.mark.parametrize("triple", [(400, 200, 0.1), (1000, 500, 0.01)], ids=["edge", "server"])
+def test_pipeline_matches_nonzero_route_under_signal_weights(signal_predictions, triple, scope):
+    got = assert_matches_nonzero_route(signal_predictions, pp.NmsParams(*triple), scope)
+    assert len(got) == triple[1]
+
+
+def test_pipeline_equal_probabilities_straddle_prefix_boundary(monkeypatch):
+    # every anchor has the same class logits, so three classes share the
+    # largest probability: 900 equal candidates in different anchors and
+    # classes, through which each first prefix (8 x max_output) cuts
+    rng = np.random.default_rng(24)
+    n = 300
+    anchors = np.concatenate([rng.random((n, 2)) * 200 + 40, rng.random((n, 2)) * 60 + 10], axis=1)
+    arm_obj = np.tile([0.0, 5.0], (n, 1))
+    odm_cls = np.tile([0.0, 2.0, 1.0, 2.0, 1.0, 2.0], (n, 1))
+    zeros = np.zeros((n, 4))
+    sizes = count_passes(monkeypatch)
+    for max_output in (1, 5, 40, 200):
+        for scope in pp.CAP_SCOPES:
+            assert_matches_nonzero_route((anchors, arm_obj, zeros, odm_cls, zeros),
+                                         pp.NmsParams(200, max_output, 0.05), scope)
+    assert 0 < min(sizes) < 3 * n
+
+
+def test_pipeline_drops_a_float32_threshold_probability_below_conf_thresh(monkeypatch):
+    # float32(0.7) is below 0.7: a float32 test lists a probability that
+    # rounds to it, the float64 pool test leaves it out
+    anchors, arm_obj, arm_deltas, odm_cls, odm_deltas, hot = build_pipeline_case()
+    odm_cls[hot[1]] = (0.0, -50.0, np.log(7 / 3), -50.0)
+    assert softmax_gold(odm_cls[hot[1]])[2] == np.float32(0.7)
+    assert float(np.float32(0.7)) < 0.7
+    lengths = []
+    nms_greedy = pp.nms_greedy
+    monkeypatch.setattr(pp, "nms_greedy", lambda dets, *args, **kwargs:
+                        lengths.append(len(dets)) or nms_greedy(dets, *args, **kwargs))
+    for scope in pp.CAP_SCOPES:
+        got = assert_matches_nonzero_route((anchors, arm_obj, arm_deltas, odm_cls, odm_deltas),
+                                           pp.NmsParams(400, 200, 0.7), scope)
+        assert sorted(got.indices.tolist()) == [hot[0], hot[2]]
+    # the listed set holds 3 rows; the pipeline's candidates count 2
+    assert lengths == [3, 2] * 2
+
+
+def test_pipeline_memory_at_the_server_shape():
+    # 6375 x 81 logits at (1000, 500, 0.01), where every foreground
+    # probability is a candidate: listing all 510 000 as DetectionSet rows
+    # peaked at 29-31 MiB
+    import tracemalloc
+
+    rng = np.random.default_rng(26)
+    n = 6375
+    anchors = np.concatenate([rng.random((n, 2)) * 280 + 20, rng.random((n, 2)) * 40 + 10], axis=1)
+    arm_obj = np.tile(np.float32([0.0, 1.0]), (n, 1))
+    odm_cls = rng.normal(0.0, 0.01, (n, 81)).astype(np.float32)
+    deltas = rng.normal(0.0, 0.1, (n, 4)).astype(np.float32)
+    for scope in pp.CAP_SCOPES:
+        tracemalloc.start()
+        try:
+            got = pp.pipeline(arm_obj, deltas, odm_cls, deltas, anchors, pp.NmsParams(1000, 500, 0.01),
+                              cap_scope=scope, image_size=320, counters=pp.NmsCounters())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(got) == 500
+        assert peak < 12 * 2**20, f"{scope}: peak {peak / 2**20:.2f} MiB"
 
 
 # ---------------------------------------------------------------------------
