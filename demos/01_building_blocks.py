@@ -68,7 +68,7 @@ for block in (
     ConvUnit("plain", 16, 32, 3, stride=2),
     DepthwiseSeparable("ds", 16, 32, stride=2),
     InvertedResidual("ir", 16, 16, stride=1, expansion=6),
-    ResNeXtBlock("rx", 16, 32, stride=2, cardinality=32, se=True),
+    ResNeXtBlock("rx", 16, 32, stride=2, se=True),
 ):
     weights = init_from_decls(block.decls(), seed=7)
     y = block.forward(x, weights)

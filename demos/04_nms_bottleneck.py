@@ -8,12 +8,16 @@ Two desk-size models with opposite cost profiles:
 Under a small suppression budget (max_input 400, conf 0.1) no candidate
 reaches suppression, and nms is only the scoring of every anchor's classes.
 Raising the budget to (1000, 500, 0.01) floods the suppressor with
-candidates, and nms becomes the largest stage of each model: in one run on
-a 2-CPU VM the nms share grew from 21% to 47% for A and from 31% to 64% for
-B, while A stayed the faster model under both budgets (16.12 vs 11.79 fps,
-then 9.62 vs 6.71 fps).  Suppression stops once max_output boxes are kept in
-the merged ranking, so it examines a few thousand of the capped candidates;
-without that early exit the same machine read 20% -> 91% and 33% -> 92%.
+candidates, and the nms share of each model's runtime strictly rises, as the
+acceptance suite checks.  Whether nms becomes the largest stage depends on
+the model.  In one run on a 2-CPU Xeon VM (Python 3.11, numpy 2.4) the nms
+share grew from 11.2% to 31.5% for A, whose backbone stayed the largest
+stage (42% at the large budget), and from 20.5% to 38.1% for B, where nms
+became the largest.  A stayed the faster model under both budgets (12.51 vs
+9.09 fps, then 10.27 vs 7.12 fps).  Suppression stops once max_output boxes
+are kept in the merged ranking, and scoring reads the class probability
+matrix without listing candidates, so the large budget costs A less than a
+third of its runtime.
 
 The ranking does not flip under the default seeded init: every class
 probability sits near 1/81, so the small budget passes no candidates at all

@@ -42,8 +42,6 @@ from .postprocess import (
     apply_deltas,
     arm_filter,
     decode,
-    encode,
-    iou,
     iou_matrix,
     nms_greedy,
     pipeline,
@@ -104,13 +102,11 @@ __all__ = [
     "compare_sweep",
     "decode",
     "effective_cardinality",
-    "encode",
     "fixture_specs",
     "fnv1a64",
     "gaussian_values",
     "generate_anchors",
     "init_from_decls",
-    "iou",
     "iou_matrix",
     "nms_greedy",
     "normalize_fps",

@@ -35,6 +35,12 @@ BACKBONE_NAMES = (
 )
 
 
+# Groups requested of a ResNeXt bottleneck's 3x3 convolution, and the
+# channel reduction of every squeeze-and-excitation gate.
+CARDINALITY = 32
+SE_REDUCTION = 16
+
+
 def scaled(c, width_multiplier):
     """Realized channel count under a width multiplier (never below 1)."""
     return max(1, int(round(c * width_multiplier)))
@@ -55,19 +61,17 @@ def effective_cardinality(width, requested):
 
 
 class ConvUnit:
-    """Convolution with optional bias, batch norm, and activation."""
+    """Convolution padded by kernel height // 2, with optional bias, batch norm and activation."""
 
-    def __init__(self, name, c_in, c_out, kernel=3, stride=1, padding=None,
+    def __init__(self, name, c_in, c_out, kernel=3, stride=1,
                  groups=1, bias=False, bn=True, act="relu"):
         if act not in ("relu", "none"):
             raise ValueError(f"unknown activation {act!r}")
         kh, kw = T._as_pair(kernel)
-        if padding is None:
-            padding = kh // 2
         self.name = name
         self.c_in = c_in
         self.c_out = c_out
-        self.params = T.ConvParams((kh, kw), stride=stride, padding=padding, groups=groups)
+        self.params = T.ConvParams((kh, kw), stride=stride, padding=kh // 2, groups=groups)
         self.bias = bias
         self.bn = bn
         self.act = act
@@ -164,12 +168,10 @@ class L2NormUnit:
 class SEUnit:
     """Squeeze-and-excitation: global pool -> bottleneck MLP -> channel gates."""
 
-    def __init__(self, name, channels, reduction=16):
-        if reduction < 1:
-            raise ValueError(f"reduction must be >= 1, got {reduction}")
+    def __init__(self, name, channels):
         self.name = name
         self.channels = channels
-        self.reduced = max(1, channels // reduction)
+        self.reduced = max(1, channels // SE_REDUCTION)
 
     @property
     def out_channels(self):
@@ -300,21 +302,21 @@ class ResNeXtBlock(Sequence):
     """Bottleneck with grouped 3x3 (aggregated transforms); optional SE gate.
 
     Bottleneck width is c_out/2; the group count falls back to the largest
-    divisor of the realized width when the requested cardinality does not
-    divide it (toy widths).
+    divisor of the realized width when CARDINALITY does not divide it (toy
+    widths).
     """
 
-    def __init__(self, name, c_in, c_out, stride=1, cardinality=32, se=False, reduction=16):
+    def __init__(self, name, c_in, c_out, stride=1, se=False):
         self.name = name
         width = max(1, c_out // 2)
-        self.cardinality = effective_cardinality(width, cardinality)
+        self.cardinality = effective_cardinality(width, CARDINALITY)
         layers = [
             ConvUnit(f"{name}/conv1", c_in, width, 1),
             ConvUnit(f"{name}/conv2", width, width, 3, stride, groups=self.cardinality),
             ConvUnit(f"{name}/conv3", width, c_out, 1, act="none"),
         ]
         if se:
-            layers.append(SEUnit(f"{name}/se", c_out, reduction))
+            layers.append(SEUnit(f"{name}/se", c_out))
         super().__init__(layers, skip=_shortcut(name, c_in, c_out, stride), act="relu")
 
 
@@ -368,7 +370,7 @@ class InceptionSEBlock(Sequence):
     variant strides every branch so spatial sizes stay aligned.
     """
 
-    def __init__(self, name, c_in, c_out, stride=1, reduction=16):
+    def __init__(self, name, c_in, c_out, stride=1):
         if c_out < 8:
             raise ValueError(f"inception block needs c_out >= 8, got {c_out}")
         b1 = c_out // 4
@@ -396,7 +398,7 @@ class InceptionSEBlock(Sequence):
                     ConvUnit(f"{name}/pool_proj", c_in, bp, 1),
                 ]),
             ]),
-            SEUnit(f"{name}/se", c_out, reduction),
+            SEUnit(f"{name}/se", c_out),
         ])
 
 
@@ -511,7 +513,7 @@ def _vgg16(head_depth, wm):
 def _resnet18(head_depth, wm):
     s = lambda c: scaled(c, wm)
     stem = Sequence([
-        ConvUnit("backbone/conv1", 3, s(64), 7, stride=2, padding=3),
+        ConvUnit("backbone/conv1", 3, s(64), 7, stride=2),
         MaxPoolUnit(3, 2, 1),
     ])
     stages = []
@@ -529,7 +531,7 @@ def _resnet18(head_depth, wm):
 
 def _resnext_stem(wm):
     return Sequence([
-        ConvUnit("backbone/conv1", 3, scaled(64, wm), 7, stride=2, padding=3),
+        ConvUnit("backbone/conv1", 3, scaled(64, wm), 7, stride=2),
         MaxPoolUnit(3, 2, 1),
     ])
 
@@ -580,7 +582,7 @@ def _resnext50(head_depth, wm, se=False):
 def _inception_senet(head_depth, wm):
     s = lambda c: scaled(c, wm)
     stem = Sequence([
-        ConvUnit("backbone/conv1", 3, s(64), 7, stride=2, padding=3),
+        ConvUnit("backbone/conv1", 3, s(64), 7, stride=2),
         MaxPoolUnit(3, 2, 1),
         ConvUnit("backbone/conv2_1", s(64), s(64), 1),
         ConvUnit("backbone/conv2_2", s(64), s(192), 3),

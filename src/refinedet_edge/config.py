@@ -311,7 +311,7 @@ def _model_variant(model):
     return (128 if m.group(1) == "r" else 256), int(m.group(2))
 
 
-def fixture_spec(row, width_multiplier=FIXTURE_WIDTH_MULTIPLIER):
+def fixture_spec(row):
     """Desk-size ModelSpec for one sweep row (exact topology, thin channels)."""
     head_depth, input_size = _model_variant(row.model)
     return ModelSpec(
@@ -319,22 +319,22 @@ def fixture_spec(row, width_multiplier=FIXTURE_WIDTH_MULTIPLIER):
         backbone=row.backbone,
         input_size=input_size,
         head_depth=head_depth,
-        width_multiplier=width_multiplier,
+        width_multiplier=FIXTURE_WIDTH_MULTIPLIER,
         nms=row.nms,
         seed=row.exp,
     )
 
 
-def fixture_specs(width_multiplier=FIXTURE_WIDTH_MULTIPLIER):
-    return [fixture_spec(r, width_multiplier) for r in table_experiments()]
+def fixture_specs():
+    return [fixture_spec(r) for r in table_experiments()]
 
 
-def write_fixtures(out_dir, width_multiplier=FIXTURE_WIDTH_MULTIPLIER):
+def write_fixtures(out_dir):
     """Write exp01.cfg .. exp50.cfg; returns the paths."""
     os.makedirs(out_dir, exist_ok=True)
     paths = []
     for row in table_experiments():
-        spec = fixture_spec(row, width_multiplier)
+        spec = fixture_spec(row)
         path = os.path.join(out_dir, f"exp{row.exp:02d}.cfg")
         write_config(path, spec)
         paths.append(path)

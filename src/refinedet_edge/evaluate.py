@@ -14,7 +14,7 @@ import logging
 
 import numpy as np
 
-from .postprocess import iou_matrix
+from .postprocess import iou_matrix, read_records
 
 log = logging.getLogger(__name__)
 
@@ -176,29 +176,5 @@ def write_ground_truth(path, gts):
 
 def read_ground_truth(path):
     """Read ground-truth records into {image_id: GroundTruth}."""
-    rows = {}
-    with open(path, encoding="utf-8") as f:
-        for n, line in enumerate(f, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            if len(parts) not in (6, 7):
-                raise ValueError(f"{path}:{n}: expected 6 or 7 fields, got {len(parts)}")
-            image_id = parts[0]
-            try:
-                cls = int(parts[1])
-                x, y, w, h = (float(v) for v in parts[2:6])
-                ignore = bool(int(parts[6])) if len(parts) == 7 else False
-            except ValueError:
-                raise ValueError(f"{path}:{n}: malformed numeric field") from None
-            rows.setdefault(image_id, []).append((cls, x, y, w, h, ignore))
-    out = {}
-    for image_id, recs in rows.items():
-        boxes = np.array([[r[1], r[2], r[1] + r[3], r[2] + r[4]] for r in recs], dtype=np.float64)
-        out[image_id] = GroundTruth(
-            boxes,
-            np.array([r[0] for r in recs], dtype=np.int32),
-            np.array([r[5] for r in recs], dtype=bool),
-        )
-    return out
+    return {image_id: GroundTruth(boxes, class_ids, flags.astype(bool))
+            for image_id, (class_ids, boxes, flags) in read_records(path, ignore_flag=True).items()}

@@ -13,6 +13,7 @@ import numpy as np
 
 from . import tensor_ops as T
 from .blocks import (
+    CARDINALITY,
     ConvUnit,
     DeconvUnit,
     L2NormUnit,
@@ -46,21 +47,6 @@ class AnchorGrid:
 
     def __len__(self):
         return self.boxes.shape[0]
-
-    @property
-    def per_cell(self):
-        return len(self.ratios)
-
-    def level_counts(self):
-        return tuple(h * w * self.per_cell for h, w in self.level_shapes)
-
-    def level_slices(self):
-        out = []
-        start = 0
-        for n in self.level_counts():
-            out.append(slice(start, start + n))
-            start += n
-        return out
 
 
 def generate_anchors(input_size, strides=(8, 16, 32, 64), scales=None, ratios=(0.5, 1.0, 2.0)):
@@ -266,10 +252,10 @@ class DetectionModel:
         cards = []
         for stage in self.backbone.stages:
             layer = stage.layer
-            if isinstance(layer, ResNeXtBlock) and layer.cardinality != 32:
+            if isinstance(layer, ResNeXtBlock) and layer.cardinality != CARDINALITY:
                 cards.append(f"{stage.name}={layer.cardinality}")
         for blk in self.intermediates:
-            if isinstance(blk, ResNeXtBlock) and blk.cardinality != 32:
+            if isinstance(blk, ResNeXtBlock) and blk.cardinality != CARDINALITY:
                 cards.append(f"{blk.name}={blk.cardinality}")
         if cards:
             notes.append("group-conv cardinality fallback: " + ", ".join(cards))

@@ -160,23 +160,6 @@ class NmsCounters:
 # geometry
 
 
-def iou(a, b):
-    """Intersection-over-union of two corner boxes; degenerate boxes give 0."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    ix = min(a[2], b[2]) - max(a[0], b[0])
-    iy = min(a[3], b[3]) - max(a[1], b[1])
-    if ix <= 0 or iy <= 0:
-        return 0.0
-    inter = ix * iy
-    area_a = max(0.0, a[2] - a[0]) * max(0.0, a[3] - a[1])
-    area_b = max(0.0, b[2] - b[0]) * max(0.0, b[3] - b[1])
-    union = area_a + area_b - inter
-    if union <= 0:
-        return 0.0
-    return float(inter / union)
-
-
 def iou_matrix(a, b):
     """Pairwise IoU between two corner-box arrays: (m, 4) x (k, 4) -> (m, k)."""
     a = np.asarray(a, dtype=np.float64).reshape(-1, 4)
@@ -199,35 +182,19 @@ def to_corners(cboxes):
     return np.concatenate([cboxes[..., 0:2] - half, cboxes[..., 0:2] + half], axis=-1)
 
 
-def to_centers(boxes):
-    """(x_min, y_min, x_max, y_max) -> (cx, cy, w, h)."""
-    boxes = np.asarray(boxes, dtype=np.float64)
-    wh = boxes[..., 2:4] - boxes[..., 0:2]
-    return np.concatenate([boxes[..., 0:2] + wh / 2.0, wh], axis=-1)
-
-
-def clip_boxes(boxes, image_size):
-    return np.clip(boxes, 0.0, float(image_size))
-
-
 # ---------------------------------------------------------------------------
 # delta coding
 
 
-def _check_variances(variances):
-    vc, vs = float(variances[0]), float(variances[1])
-    if vc <= 0 or vs <= 0:
-        raise ValueError(f"variances must be positive, got {variances}")
-    return vc, vs
-
-
-def apply_deltas(anchors, deltas, variances=VARIANCES):
+def apply_deltas(anchors, deltas):
     """Shift/scale center-form priors by regression deltas; stays center-form.
 
     cx' = cx + d0 * vc * w      w' = w * exp(d2 * vs)
     cy' = cy + d1 * vc * h      h' = h * exp(d3 * vs)
+
+    with (vc, vs) = VARIANCES.
     """
-    vc, vs = _check_variances(variances)
+    vc, vs = VARIANCES
     anchors = np.asarray(anchors, dtype=np.float64).reshape(-1, 4)
     deltas = np.asarray(deltas, dtype=np.float64).reshape(-1, 4)
     if anchors.shape != deltas.shape:
@@ -243,30 +210,12 @@ def apply_deltas(anchors, deltas, variances=VARIANCES):
     return np.concatenate([centers, sizes], axis=1)
 
 
-def decode(anchors, deltas, variances=VARIANCES, image_size=None):
+def decode(anchors, deltas, image_size=None):
     """Deltas on center-form priors -> corner boxes, clipped when a size is given."""
-    corners = to_corners(apply_deltas(anchors, deltas, variances))
+    corners = to_corners(apply_deltas(anchors, deltas))
     if image_size is not None:
-        corners = clip_boxes(corners, image_size)
+        corners = np.clip(corners, 0.0, float(image_size))
     return corners.astype(np.float32)
-
-
-def encode(boxes, anchors, variances=VARIANCES):
-    """Corner boxes -> deltas relative to center-form priors (decode inverse)."""
-    vc, vs = _check_variances(variances)
-    anchors = np.asarray(anchors, dtype=np.float64).reshape(-1, 4)
-    cb = to_centers(boxes).reshape(-1, 4)
-    if anchors.shape != cb.shape:
-        raise ValueError(f"anchors {anchors.shape} and boxes {cb.shape} differ")
-    if np.any(cb[:, 2:] <= 0):
-        bad = int(np.flatnonzero((cb[:, 2:] <= 0).any(axis=1))[0])
-        raise ValueError(f"box {bad} has non-positive size {cb[bad, 2:]}")
-    if np.any(anchors[:, 2:] <= 0):
-        bad = int(np.flatnonzero((anchors[:, 2:] <= 0).any(axis=1))[0])
-        raise ValueError(f"anchor {bad} has non-positive size {anchors[bad, 2:]}")
-    d_center = (cb[:, :2] - anchors[:, :2]) / (vc * anchors[:, 2:])
-    d_size = np.log(cb[:, 2:] / anchors[:, 2:]) / vs
-    return np.concatenate([d_center, d_size], axis=1)
 
 
 def softmax(logits, axis=-1):
@@ -511,8 +460,7 @@ def span(timer, name):
 
 def pipeline(arm_obj_logits, arm_deltas, odm_cls_logits, odm_deltas, anchors,
              nms_params, *, iou_thresh=DEFAULT_IOU_THRESH, neg_thresh=DEFAULT_NEG_THRESH,
-             cap_scope="per_class", image_size, variances=VARIANCES,
-             timer=None, counters=None):
+             cap_scope="per_class", image_size, timer=None, counters=None):
     """Single-image post-processing over per-anchor predictions.
 
     Steps: soften objectness and drop confident background anchors; refine
@@ -556,8 +504,8 @@ def pipeline(arm_obj_logits, arm_deltas, odm_cls_logits, odm_deltas, anchors,
         kept = arm_filter(obj[:, 0], neg_thresh)
 
     with span(timer, "decode"):
-        refined = apply_deltas(anchors[kept], arm_deltas[kept], variances)
-        boxes = decode(refined, odm_deltas[kept], variances, image_size=image_size)
+        refined = apply_deltas(anchors[kept], arm_deltas[kept])
+        boxes = decode(refined, odm_deltas[kept], image_size=image_size)
 
     with span(timer, "nms"):
         candidates = ScoreMatrix(softmax(odm_cls_logits[kept], axis=1)[:, 1:], boxes, kept,
@@ -583,28 +531,60 @@ def write_detections(path, by_image):
                 )
 
 
+def _record_columns(records, ignore_flag):
+    """Class ids, and x_min, y_min, width, height and the last field as
+    float64 rows; a flag is read as an integer, 0 when absent."""
+    last = [r[6] if len(r) == 7 else 0 for r in records]
+    return (np.array([r[1] for r in records], dtype=np.int32),
+            np.column_stack([np.array([r[2:6] for r in records], dtype=np.float64).reshape(-1, 4),
+                             np.array(last, dtype=np.int64 if ignore_flag else np.float64)]))
+
+
+def read_records(path, ignore_flag=False):
+    """Parse records `image_id,class_id,x_min,y_min,width,height,last`.
+
+    `last` is a score or, with `ignore_flag`, an ignore flag: 0 or 1, and 0
+    when absent.  Blank lines and '#' comments are skipped.  Returns
+    {image_id: (class ids, (k, 4) float64 corner boxes, float64 last
+    column)}, images in order of first appearance, rows in file order.
+
+    A wrong field count, a field that does not parse, a NaN or inf, a
+    negative width or height, or a flag other than 0 or 1 raises ValueError
+    naming `path:line`.  The columns are converted and checked whole; the
+    line is looked up only when that fails.
+    """
+    counts = (6, 7) if ignore_flag else (7,)
+    with open(path, encoding="utf-8") as f:
+        lines = [(n, line.split(",")) for n, line in enumerate(map(str.strip, f), 1)
+                 if line and not line.startswith("#")]
+    for n, r in lines:
+        if len(r) not in counts:
+            raise ValueError(f"{path}:{n}: expected {' or '.join(map(str, counts))} "
+                             f"fields, got {len(r)}")
+    records = [r for _, r in lines]
+    try:
+        class_ids, values = _record_columns(records, ignore_flag)
+    except (ValueError, OverflowError):
+        for n, r in lines:
+            try:
+                _record_columns([r], ignore_flag)
+            except (ValueError, OverflowError):
+                raise ValueError(f"{path}:{n}: malformed numeric field") from None
+        raise
+    problems = {"non-finite value": ~np.isfinite(values).all(axis=1),
+                "negative width or height": (values[:, 2:4] < 0).any(axis=1),
+                "ignore flag is not 0 or 1": ignore_flag & (values[:, 4] != 0) & (values[:, 4] != 1)}
+    for what, bad in problems.items():
+        if bad.any():
+            raise ValueError(f"{path}:{lines[int(np.argmax(bad))][0]}: {what}")
+    rows = {}
+    for i, r in enumerate(records):
+        rows.setdefault(r[0], []).append(i)
+    boxes = np.concatenate([values[:, :2], values[:, :2] + values[:, 2:4]], axis=1)
+    return {image_id: (class_ids[idx], boxes[idx], values[idx, 4]) for image_id, idx in rows.items()}
+
+
 def read_detections(path):
     """Read detection records back into {image_id: DetectionSet}."""
-    rows = {}
-    with open(path, encoding="utf-8") as f:
-        for n, line in enumerate(f, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            if len(parts) != 7:
-                raise ValueError(f"{path}:{n}: expected 7 fields, got {len(parts)}")
-            image_id = parts[0]
-            try:
-                cls = int(parts[1])
-                x, y, w, h, score = (float(v) for v in parts[2:])
-            except ValueError:
-                raise ValueError(f"{path}:{n}: malformed numeric field") from None
-            rows.setdefault(image_id, []).append((cls, x, y, w, h, score))
-    out = {}
-    for image_id, recs in rows.items():
-        boxes = np.array([[r[1], r[2], r[1] + r[3], r[2] + r[4]] for r in recs], dtype=np.float32)
-        scores = np.array([r[5] for r in recs], dtype=np.float32)
-        cls = np.array([r[0] for r in recs], dtype=np.int32)
-        out[image_id] = DetectionSet(boxes, scores, cls)
-    return out
+    return {image_id: DetectionSet(boxes, scores, class_ids)
+            for image_id, (class_ids, boxes, scores) in read_records(path).items()}

@@ -39,9 +39,6 @@ class StageTimer:
         finally:
             self._acc[name] = self._acc.get(name, 0) + time.perf_counter_ns() - t0
 
-    def reset(self):
-        self._acc = {}
-
     def take(self):
         """Return accumulated durations and reset."""
         out = self._acc
@@ -75,9 +72,6 @@ class ProfileReport:
             if s.name == name:
                 return s
         raise KeyError(f"report has no stage named {name!r}")
-
-    def stage_names(self):
-        return [s.name for s in self.stages]
 
     def to_json(self):
         payload = {
@@ -151,7 +145,6 @@ def benchmark(model, runs=210, warmup=10, nms_params=None, seed=0):
     rows = []
     reference = None
     for _ in range(runs):
-        timer.reset()
         t0 = time.perf_counter_ns()
         dets = model.infer(image, nms_params=nms_params, timer=timer)
         t1 = time.perf_counter_ns()

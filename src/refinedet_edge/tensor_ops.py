@@ -62,12 +62,12 @@ class ConvParams:
             raise ValueError(f"groups must be >= 1, got {self.groups}")
 
 
-def check_feature_map(x, name="input"):
+def check_feature_map(x):
     x = np.asarray(x)
     if x.ndim != 4:
-        raise ValueError(f"{name} must be 4-D (n, c, h, w), got shape {x.shape}")
+        raise ValueError(f"input must be 4-D (n, c, h, w), got shape {x.shape}")
     if x.dtype != np.float32:
-        raise ValueError(f"{name} must be float32, got {x.dtype}")
+        raise ValueError(f"input must be float32, got {x.dtype}")
     return x
 
 
@@ -281,10 +281,14 @@ def scale_channels(x, scale):
     return (x.astype(np.float64) * scale.astype(np.float64)[None, :, None, None]).astype(np.float32)
 
 
-def batch_norm_inference(x, mean, var, gamma, beta, eps=1e-5):
+# Added to the batch-norm variance before its square root.
+BN_EPS = 1e-5
+
+
+def batch_norm_inference(x, mean, var, gamma, beta):
     """Per-channel affine normalization with fixed statistics.
 
-    y = gamma * (x - mean) / sqrt(var + eps) + beta, all per channel.
+    y = gamma * (x - mean) / sqrt(var + BN_EPS) + beta, all per channel.
     """
     x = check_feature_map(x)
     c = x.shape[1]
@@ -297,10 +301,10 @@ def batch_norm_inference(x, mean, var, gamma, beta, eps=1e-5):
         bad = int(np.argmax(vecs["var"] < 0))
         raise ValueError(f"variance must be non-negative, got {float(vecs['var'][bad])} at channel {bad}")
     m = vecs["mean"].astype(np.float64)
-    den = np.sqrt(vecs["var"].astype(np.float64) + eps)
+    den = np.sqrt(vecs["var"].astype(np.float64) + BN_EPS)
     g = vecs["gamma"].astype(np.float64)
     b = vecs["beta"].astype(np.float64)
-    # gamma * (x - mean) / sqrt(var + eps) + beta, step by step in place on
+    # gamma * (x - mean) / sqrt(var + BN_EPS) + beta, step by step in place on
     # channel blocks: the same float64 operations in the same order as on
     # the whole map, so the result is bit-identical to that form
     n, _, h, w = x.shape

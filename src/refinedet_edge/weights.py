@@ -184,7 +184,7 @@ def load_wts(path):
     # split header lines until the data marker
     pos = nl + 1
     meta = {}  # key -> (value, the line it came from)
-    decls = []
+    decls = {}  # tensor name -> shape, in manifest order
     while True:
         nl = raw.find(b"\n", pos)
         if nl < 0:
@@ -198,7 +198,9 @@ def load_wts(path):
         if line.startswith("tensor "):
             if len(parts) < 2:
                 raise ValueError(f"{path}: bad header line {line!r}: no tensor name")
-            decls.append((parts[1], tuple(_header_int(path, line, d) for d in parts[2:])))
+            if parts[1] in decls:
+                raise ValueError(f"{path}: bad header line {line!r}: duplicate tensor name")
+            decls[parts[1]] = tuple(_header_int(path, line, d) for d in parts[2:])
         elif line.startswith("data "):
             if len(parts) != 2:
                 raise ValueError(f"{path}: bad header line {line!r}: expected 'data <nbytes>'")
@@ -224,7 +226,7 @@ def load_wts(path):
     if len(raw) - pos != nbytes:
         raise ValueError(f"{path}: header line {line!r} declares {nbytes} data bytes, "
                          f"file holds {len(raw) - pos} after the header")
-    expected = sum(int(np.prod(s, dtype=np.int64)) for _, s in decls) * 4
+    expected = sum(int(np.prod(s, dtype=np.int64)) for s in decls.values()) * 4
     if nbytes != expected:
         raise ValueError(f"{path}: manifest declares {expected} bytes of tensors, data block has {nbytes}")
     if "tensor_count" in meta and number("tensor_count") != len(decls):
@@ -235,7 +237,7 @@ def load_wts(path):
         raise ValueError(f"{path}: digest mismatch (stored {stored:#018x}, computed {actual:#018x})")
     tensors = []
     off = 0
-    for name, shape in decls:
+    for name, shape in decls.items():
         n = int(np.prod(shape, dtype=np.int64))
         arr = np.frombuffer(blob, dtype="<f4", count=n, offset=off).reshape(shape).copy()
         tensors.append((name, arr))

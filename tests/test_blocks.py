@@ -106,16 +106,16 @@ def test_l2norm_unit_normalizes_then_scales():
 
 def test_se_unit_matches_manual_math():
     rng = np.random.default_rng(7)
-    unit = B.SEUnit("se", 8, reduction=4)
+    unit = B.SEUnit("se", 32)
     bundle = fill_bundle(unit.decls(), rng)
-    x = rand_map((2, 8, 4, 4), 8)
+    x = rand_map((2, 32, 4, 4), 8)
     got = unit.forward(x, bundle)
     pooled = x.astype(np.float64).mean(axis=(2, 3))
     z = np.maximum(pooled @ bundle["se/reduce"].astype(np.float64).T, 0.0)
     gates = 1.0 / (1.0 + np.exp(-(z @ bundle["se/expand"].astype(np.float64).T)))
     want = x.astype(np.float64) * gates[:, :, None, None]
     np.testing.assert_allclose(got, want.astype(np.float32), rtol=1e-5, atol=1e-6)
-    assert unit.reduced == 2
+    assert unit.reduced == 32 // B.SE_REDUCTION == 2
 
 
 def test_se_unit_gates_bound_output():

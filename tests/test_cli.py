@@ -269,6 +269,19 @@ def test_eval_missing_file_exits_2(tmp_path, capsys):
     assert cli.main(["eval", str(tmp_path / "nope.csv"), str(gpath)]) == 2
 
 
+@pytest.mark.parametrize("which, record", [
+    ("detections", "img-1,1,10,10,20,20,nan"),
+    ("ground truth", "img-1,1,10,10,-20,20"),
+    ("ground truth", "img-1,1,10,10,20,20,2"),
+], ids=["nan-score", "negative-width", "flag-2"])
+def test_eval_bad_record_exits_3(tmp_path, capsys, which, record):
+    dpath, gpath = eval_files(tmp_path)
+    path = dpath if which == "detections" else gpath
+    path.write_text(path.read_text() + record + "\n")
+    assert cli.main(["eval", str(dpath), str(gpath)]) == 3
+    assert f"{path}:3: " in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # fixtures
 

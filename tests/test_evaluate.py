@@ -263,6 +263,24 @@ def test_ground_truth_file_validation(tmp_path):
         ev.read_ground_truth(path)
 
 
+@pytest.mark.parametrize("record, problem", [
+    ("img,1,0,0,inf,10", "non-finite value"),
+    ("img,1,nan,0,10,10,0", "non-finite value"),
+    ("img,1,0,0,-2,10", "negative width or height"),
+    ("img,1,0,0,10,-1,1", "negative width or height"),
+    ("img,1,0,0,10,10,2", "ignore flag is not 0 or 1"),
+    ("img,1,0,0,10,10,-1", "ignore flag is not 0 or 1"),
+    ("img,1,0,0,10,10,1.0", "malformed numeric field"),
+], ids=["inf-width", "nan-x", "negative-width", "negative-height", "flag-2", "flag-minus-1",
+        "flag-not-an-integer"])
+def test_ground_truth_file_rejects_bad_values_naming_the_line(tmp_path, record, problem):
+    path = tmp_path / "gt.csv"
+    path.write_text(f"# header\nimg,1,0,0,10,10\n{record}\nimg,2,0,0,10,10,1\n")
+    with pytest.raises(ValueError) as info:
+        ev.read_ground_truth(path)
+    assert str(info.value) == f"{path}:3: {problem}"
+
+
 def test_ground_truth_shape_validation():
     with pytest.raises(ValueError, match="boxes for"):
         ev.GroundTruth(np.zeros((2, 4)), np.zeros(3, np.int32))

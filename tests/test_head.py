@@ -24,7 +24,7 @@ def test_anchor_grid_320_matches_gold():
 def test_anchor_grid_512_count_follows_grid_arithmetic():
     grid = H.generate_anchors(512)
     per_level = [(512 // s) ** 2 * 3 for s in (8, 16, 32, 64)]
-    assert grid.level_counts() == tuple(per_level)
+    assert [h * w * len(grid.ratios) for h, w in grid.level_shapes] == per_level
     assert len(grid) == sum(per_level) == 16320
     gold = anchors_gold(512, (8, 16, 32, 64), (32, 64, 128, 256), (0.5, 1.0, 2.0))
     np.testing.assert_allclose(grid.boxes, gold.astype(np.float32), rtol=1e-6)
@@ -53,15 +53,6 @@ def test_anchor_ratios_shape_areas():
 def test_anchor_default_scale_is_4x_stride():
     grid = H.generate_anchors(320)
     assert grid.scales == (32.0, 64.0, 128.0, 256.0)
-
-
-def test_anchor_level_slices_partition():
-    grid = H.generate_anchors(320)
-    slices = grid.level_slices()
-    assert slices[0] == slice(0, 4800)
-    assert slices[-1].stop == len(grid)
-    covered = sum(s.stop - s.start for s in slices)
-    assert covered == len(grid)
 
 
 def test_anchor_regeneration_is_bit_identical():

@@ -311,6 +311,12 @@ def test_wts_rejects_non_numeric_fields(tmp_path, old, new, fragment):
     assert_refused(corrupt(tmp_path, old, new), "bad header line", fragment)
 
 
+def test_wts_rejects_a_duplicate_tensor_name(tmp_path):
+    # same byte count, digest and tensor_count: only the name repeats
+    path = corrupt(tmp_path, b"tensor b/w", b"tensor a/w")
+    assert_refused(path, "bad header line 'tensor a/w 2 4 1 1'", "duplicate tensor name")
+
+
 def test_wts_rejects_a_non_utf8_header(tmp_path):
     path = corrupt(tmp_path, b"model = toy", b"model = t\xffy")
     assert_refused(path, "b'model = t\\xffy'", "not UTF-8")
