@@ -197,7 +197,7 @@ class SEUnit:
         pooled = T.global_avg_pool(x)[:, :, 0, 0]  # (n, c)
         z = T.relu((pooled.astype(np.float64) @ w_reduce.astype(np.float64).T).astype(np.float32))
         gates = T.sigmoid((z.astype(np.float64) @ w_expand.astype(np.float64).T).astype(np.float32))
-        return (x.astype(np.float64) * gates.astype(np.float64)[:, :, None, None]).astype(np.float32)
+        return x * gates[:, :, None, None]  # see tensor_ops._exact_dtype: float32 is exact here
 
 
 # ---------------------------------------------------------------------------

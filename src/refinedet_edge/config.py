@@ -2,18 +2,22 @@
 experiment table.
 
 Configs are `key = value` lines with `#` comments; the first key must be
-format_version.  parse -> serialize -> parse is the identity, and serialize
-emits a canonical key order with exact float round-trips.
+format_version.  The other keys are ModelSpec's field names, in field order,
+with the NMS triple written as nms_max_input, nms_max_output and
+nms_conf_thresh.  Tuple values are comma-separated with no empty element; an
+empty value is the empty tuple (for anchor_scales: 4 x each stride).
+parse -> serialize -> parse is the identity, and serialize emits that
+canonical key order with exact float round-trips.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 import logging
 import math
 import os
 import re
 
 from .blocks import BACKBONE_NAMES
-from .postprocess import CAP_SCOPES, NmsParams
+from .postprocess import CAP_SCOPES, DEFAULT_IOU_THRESH, DEFAULT_NEG_THRESH, NmsParams
 
 log = logging.getLogger(__name__)
 
@@ -36,13 +40,13 @@ class ModelSpec:
     head_depth: int = 256
     num_classes: int = 80
     width_multiplier: float = 1.0
-    anchor_strides: tuple = (8, 16, 32, 64)
-    anchor_scales: tuple = ()
-    anchor_ratios: tuple = (0.5, 1.0, 2.0)
-    nms: NmsParams = NmsParams(400, 200, 0.1)
-    nms_iou_thresh: float = 0.45
+    anchor_strides: tuple[int, ...] = (8, 16, 32, 64)
+    anchor_scales: tuple[float, ...] = ()
+    anchor_ratios: tuple[float, ...] = (0.5, 1.0, 2.0)
+    nms: NmsParams = NmsParams()
+    nms_iou_thresh: float = DEFAULT_IOU_THRESH
     nms_cap_scope: str = "per_class"
-    arm_neg_thresh: float = 0.99
+    arm_neg_thresh: float = DEFAULT_NEG_THRESH
     weight_init_sigma: float = 0.01
     seed: int = 0
 
@@ -101,67 +105,45 @@ class ModelSpec:
             raise ValueError(f"arm_neg_thresh must be in (0, 1), got {self.arm_neg_thresh}")
         if not self.weight_init_sigma > 0:
             raise ValueError(f"weight_init_sigma must be > 0, got {self.weight_init_sigma}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 # ---------------------------------------------------------------------------
 # text format
 
 
-def _parse_int(key, val, source, n):
+def _key_table():
+    """{config key: (ModelSpec field, NmsParams field or None, value type)}
+    in canonical order; the nms field expands to one nms_* key per field."""
+    table = {}
+    for f in fields(ModelSpec):
+        if f.type is NmsParams:
+            table.update((f"{f.name}_{g.name}", (f.name, g.name, g.type)) for g in fields(NmsParams))
+        else:
+            table[f.name] = (f.name, None, f.type)
+    return table
+
+
+_KEYS = _key_table()
+_NOUNS = {int: ("an integer", "integers"), float: ("a number", "numbers")}
+
+
+def _convert(key, typ, val, where):
+    """One value from its text; a tuple type reads comma-separated elements,
+    none of them empty, and an empty value as ()."""
+    if typ is str:
+        if not val:
+            raise ConfigError(f"{where}: {key} must not be empty")
+        return val
+    elem = typ.__args__[0] if typ not in _NOUNS else None
     try:
-        return int(val)
+        if elem is None:
+            return typ(val)
+        return tuple(elem(v) for v in val.split(",")) if val else ()
     except ValueError:
-        raise ConfigError(f"{source}:{n}: {key} expects an integer, got {val!r}") from None
-
-
-def _parse_float(key, val, source, n):
-    try:
-        return float(val)
-    except ValueError:
-        raise ConfigError(f"{source}:{n}: {key} expects a number, got {val!r}") from None
-
-
-def _parse_str(key, val, source, n):
-    if not val:
-        raise ConfigError(f"{source}:{n}: {key} must not be empty")
-    return val
-
-
-def _parse_int_tuple(key, val, source, n):
-    try:
-        return tuple(int(v.strip()) for v in val.split(",") if v.strip())
-    except ValueError:
-        raise ConfigError(f"{source}:{n}: {key} expects comma-separated integers, got {val!r}") from None
-
-
-def _parse_float_tuple(key, val, source, n):
-    try:
-        return tuple(float(v.strip()) for v in val.split(",") if v.strip())
-    except ValueError:
-        raise ConfigError(f"{source}:{n}: {key} expects comma-separated numbers, got {val!r}") from None
-
-
-_PARSERS = {
-    "name": _parse_str,
-    "backbone": _parse_str,
-    "input_size": _parse_int,
-    "head_depth": _parse_int,
-    "num_classes": _parse_int,
-    "width_multiplier": _parse_float,
-    "anchor_strides": _parse_int_tuple,
-    "anchor_scales": _parse_float_tuple,
-    "anchor_ratios": _parse_float_tuple,
-    "nms_max_input": _parse_int,
-    "nms_max_output": _parse_int,
-    "nms_conf_thresh": _parse_float,
-    "nms_iou_thresh": _parse_float,
-    "nms_cap_scope": _parse_str,
-    "arm_neg_thresh": _parse_float,
-    "weight_init_sigma": _parse_float,
-    "seed": _parse_int,
-}
-
-_NMS_KEYS = ("nms_max_input", "nms_max_output", "nms_conf_thresh")
+        what = _NOUNS[typ][0] if elem is None else f"comma-separated {_NOUNS[elem][1]}"
+        raise ConfigError(f"{where}: {key} expects {what}, got {val!r}") from None
 
 
 def parse(text, strict=True, source="<config>"):
@@ -170,7 +152,7 @@ def parse(text, strict=True, source="<config>"):
     Unknown keys are an error in strict mode and a logged warning otherwise.
     Every error names the source line.
     """
-    values = {}
+    kwargs = {}
     seen = {}
     first_key = None
     for n, raw in enumerate(text.splitlines(), 1):
@@ -192,35 +174,31 @@ def parse(text, strict=True, source="<config>"):
             if key != "format_version":
                 raise ConfigError(f"{source}:{n}: first key must be format_version, got {key!r}")
         if key == "format_version":
-            v = _parse_int(key, val, source, n)
+            v = _convert(key, int, val, f"{source}:{n}")
             if v != CONFIG_FORMAT_VERSION:
                 raise ConfigError(
                     f"{source}:{n}: unsupported format_version {v} (this build reads {CONFIG_FORMAT_VERSION})"
                 )
             continue
-        if key not in _PARSERS:
+        if key not in _KEYS:
             msg = f"{source}:{n}: unknown key {key!r}"
             if strict:
                 raise ConfigError(msg)
             log.warning("%s (ignored)", msg)
             continue
-        values[key] = _PARSERS[key](key, val, source, n)
+        name, sub, typ = _KEYS[key]
+        value = _convert(key, typ, val, f"{source}:{n}")
+        if sub is None:
+            kwargs[name] = value
+        else:
+            kwargs.setdefault(name, {})[sub] = value
 
     if first_key is None:
         raise ConfigError(f"{source}: empty config (format_version line is required)")
-
-    nms_kwargs = {}
-    for key, arg in zip(_NMS_KEYS, ("max_input", "max_output", "conf_thresh")):
-        if key in values:
-            nms_kwargs[arg] = values.pop(key)
     try:
-        if nms_kwargs:
-            values["nms"] = NmsParams(
-                nms_kwargs.get("max_input", NmsParams.max_input),
-                nms_kwargs.get("max_output", NmsParams.max_output),
-                nms_kwargs.get("conf_thresh", NmsParams.conf_thresh),
-            )
-        return ModelSpec(**values)
+        if "nms" in kwargs:
+            kwargs["nms"] = NmsParams(**kwargs["nms"])
+        return ModelSpec(**kwargs)
     except ValueError as e:
         raise ConfigError(f"{source}: {e}") from None
 
@@ -233,27 +211,13 @@ def parse_file(path, strict=True):
 
 def serialize(spec):
     """Canonical text form; parse(serialize(s)) == s exactly."""
-    rows = [
-        ("format_version", CONFIG_FORMAT_VERSION),
-        ("name", spec.name),
-        ("backbone", spec.backbone),
-        ("input_size", spec.input_size),
-        ("head_depth", spec.head_depth),
-        ("num_classes", spec.num_classes),
-        ("width_multiplier", repr(spec.width_multiplier)),
-        ("anchor_strides", ",".join(str(s) for s in spec.anchor_strides)),
-        ("anchor_scales", ",".join(repr(s) for s in spec.anchor_scales)),
-        ("anchor_ratios", ",".join(repr(r) for r in spec.anchor_ratios)),
-        ("nms_max_input", spec.nms.max_input),
-        ("nms_max_output", spec.nms.max_output),
-        ("nms_conf_thresh", repr(spec.nms.conf_thresh)),
-        ("nms_iou_thresh", repr(spec.nms_iou_thresh)),
-        ("nms_cap_scope", spec.nms_cap_scope),
-        ("arm_neg_thresh", repr(spec.arm_neg_thresh)),
-        ("weight_init_sigma", repr(spec.weight_init_sigma)),
-        ("seed", spec.seed),
-    ]
-    return "\n".join(f"{k} = {v}" for k, v in rows) + "\n"
+    lines = [f"format_version = {CONFIG_FORMAT_VERSION}"]
+    for key, (name, sub, _) in _KEYS.items():
+        val = getattr(spec, name)
+        val = val if sub is None else getattr(val, sub)
+        # str of a float is its shortest round-trip form, also for numpy scalars
+        lines.append(f"{key} = {','.join(map(str, val)) if isinstance(val, tuple) else val}")
+    return "\n".join(lines) + "\n"
 
 
 def write_config(path, spec):

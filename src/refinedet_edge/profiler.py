@@ -9,7 +9,7 @@ disagree by more than 2%.
 """
 
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 import json
 import os
 import platform
@@ -74,17 +74,7 @@ class ProfileReport:
         raise KeyError(f"report has no stage named {name!r}")
 
     def to_json(self):
-        payload = {
-            "model": self.model,
-            "runs": self.runs,
-            "warmup": self.warmup,
-            "stages": [asdict(s) for s in self.stages],
-            "fps": self.fps,
-            "environment": self.environment,
-            "notes": self.notes,
-            "sum_check_ok": self.sum_check_ok,
-        }
-        return json.dumps(payload, indent=2)
+        return json.dumps(asdict(self), indent=2)
 
     @classmethod
     def from_json(cls, text):
@@ -93,17 +83,9 @@ class ProfileReport:
         except json.JSONDecodeError as e:
             raise ValueError(f"not a profile report: {e}") from None
         try:
-            stages = [StageStat(**s) for s in payload["stages"]]
-            return cls(
-                model=payload["model"],
-                runs=payload["runs"],
-                warmup=payload["warmup"],
-                stages=stages,
-                fps=payload["fps"],
-                environment=payload["environment"],
-                notes=payload["notes"],
-                sum_check_ok=payload["sum_check_ok"],
-            )
+            values = {f.name: payload[f.name] for f in fields(cls)}
+            values["stages"] = [StageStat(**s) for s in values["stages"]]
+            return cls(**values)
         except (KeyError, TypeError) as e:
             raise ValueError(f"not a profile report: missing field {e}") from None
 

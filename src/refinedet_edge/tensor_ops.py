@@ -264,12 +264,22 @@ def sigmoid(x):
     return out.astype(np.float32)
 
 
+def _exact_dtype(a, b):
+    """float32 when both operands convert to it exactly, else a wider float.
+
+    A float32 add or multiply gives the same bits as the float64 operation
+    rounded to float32 (53 >= 2 * 24 + 2), so only operands wider than
+    float32 need float64 arithmetic.
+    """
+    return np.result_type(a, b, np.float32)
+
+
 def elementwise_add(a, b):
     a = np.asarray(a)
     b = np.asarray(b)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch in add: {a.shape} vs {b.shape}")
-    return (a.astype(np.float64) + b.astype(np.float64)).astype(np.float32)
+    return np.add(a, b, dtype=_exact_dtype(a, b)).astype(np.float32, copy=False)
 
 
 def scale_channels(x, scale):
@@ -278,7 +288,7 @@ def scale_channels(x, scale):
     scale = np.asarray(scale)
     if scale.shape != (x.shape[1],):
         raise ValueError(f"scale must have shape ({x.shape[1]},), got {scale.shape}")
-    return (x.astype(np.float64) * scale.astype(np.float64)[None, :, None, None]).astype(np.float32)
+    return np.multiply(x, scale[None, :, None, None], dtype=_exact_dtype(x, scale)).astype(np.float32, copy=False)
 
 
 # Added to the batch-norm variance before its square root.

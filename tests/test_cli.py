@@ -81,6 +81,13 @@ def test_non_finite_config_exits_3(tmp_path, capsys):
     assert "width_multiplier must be finite" in capsys.readouterr().err
 
 
+def test_negative_seed_config_exits_3(tmp_path, capsys):
+    path = write_cfg(tmp_path)
+    path.write_text(path.read_text().replace("seed = 1", "seed = -3"))
+    assert cli.main(["bench", str(path), "--runs", "3", "--warmup", "1"]) == 3
+    assert f"{path}: seed must be >= 0, got -3" in capsys.readouterr().err
+
+
 def test_strict_rejects_unknown_keys(tmp_path, capsys):
     path = tmp_path / "odd.cfg"
     path.write_text("format_version = 1\nname = t\nmystery = 1\n")

@@ -1,5 +1,7 @@
+import hashlib
 import logging
 
+import numpy as np
 import pytest
 
 from refinedet_edge import config as C
@@ -87,6 +89,26 @@ def test_tuple_keys():
     assert spec.anchor_scales == (32.0, 64.0, 128.0, 256.0)
 
 
+@pytest.mark.parametrize("line, what", [
+    ("anchor_strides = 8,,16,32,64", "integers"),
+    ("anchor_strides = 8,16,32,64,", "integers"),
+    ("anchor_strides = 8, ,16,32", "integers"),
+    ("anchor_ratios = ,0.5,1.0", "numbers"),
+    ("anchor_scales = 32,64,,128,256", "numbers"),
+])
+def test_empty_list_element_rejected(line, what):
+    # dropping the empty element would let a stray comma change the anchor
+    # geometry without an error
+    key = line.split()[0]
+    with pytest.raises(C.ConfigError, match=f"^cfg:2: {key} expects comma-separated {what}, got"):
+        C.parse(f"format_version = 1\n{line}\n", source="cfg")
+
+
+def test_empty_list_value_is_the_empty_tuple():
+    spec = C.parse("format_version = 1\nanchor_scales =\n")
+    assert spec.anchor_scales == (32.0, 64.0, 128.0, 256.0)  # 4 x each stride
+
+
 def test_nms_triple_keys():
     text = ("format_version = 1\nnms_max_input = 1000\n"
             "nms_max_output = 500\nnms_conf_thresh = 0.01\n")
@@ -138,6 +160,28 @@ def test_serialize_parse_identity_on_odd_floats():
     assert back == spec  # exact: floats serialized via repr
 
 
+# SHA-256 over serialize(ModelSpec()) and serialize of all 50 fixture specs:
+# configs written earlier stay byte-identical
+SERIALIZE_SHA256 = "aba79d320ed6320b07a44a72dccc8cefa7a944ccdb292da23e7ef3e37dbdfd99"
+
+
+def test_serialize_bytes_are_pinned():
+    specs = [C.ModelSpec()] + C.fixture_specs()
+    h = hashlib.sha256()
+    for spec in specs:
+        h.update(C.serialize(spec).encode())
+        assert C.parse(C.serialize(spec)) == spec
+    assert h.hexdigest() == SERIALIZE_SHA256
+
+
+def test_serialize_writes_numpy_scalars_as_numbers():
+    spec = C.ModelSpec(input_size=np.int64(320), width_multiplier=np.float64(0.3),
+                       nms=NmsParams(np.int64(123), 45, np.float64(0.037)))
+    plain = C.ModelSpec(input_size=320, width_multiplier=0.3, nms=NmsParams(123, 45, 0.037))
+    assert C.serialize(spec) == C.serialize(plain)
+    assert C.parse(C.serialize(spec)) == spec
+
+
 def test_parse_file(tmp_path):
     path = tmp_path / "m.cfg"
     path.write_text(BASIC)
@@ -171,6 +215,16 @@ def test_model_spec_validations():
         C.ModelSpec(arm_neg_thresh=1.0)
     with pytest.raises(ValueError, match="sigma"):
         C.ModelSpec(weight_init_sigma=0.0)
+
+
+def test_negative_seed_rejected():
+    # numpy's generator refuses it too, but only at build time and naming
+    # neither the key nor the config
+    with pytest.raises(ValueError, match="seed must be >= 0, got -3"):
+        C.ModelSpec(seed=-3)
+    with pytest.raises(C.ConfigError, match="^cfg: seed must be >= 0, got -3$"):
+        C.parse("format_version = 1\nseed = -3\n", source="cfg")
+    assert C.ModelSpec(seed=0).seed == 0
 
 
 # ---------------------------------------------------------------------------

@@ -241,6 +241,9 @@ def _signal_bundle(model, seed):
 FORWARD_DIGESTS = {
     ("vgg16", 256, 0.0625): "590d69409986cf6c",
     ("mobilenetv1", 128, 1.0): "b46be0588b80be2e",
+    # the residual add and the squeeze-excitation gate
+    ("resnet18", 256, 0.0625): "f8828d3bf4388b0e",
+    ("se_resnext50", 128, 0.0625): "06b622c9781606f4",
 }
 
 

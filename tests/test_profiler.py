@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import time
@@ -205,6 +206,16 @@ def test_json_round_trip_is_lossless():
     report = P.benchmark(DelayModel({"backbone": 0.3, "nms": 0.2}), runs=6, warmup=2)
     back = P.ProfileReport.from_json(report.to_json())
     assert back == report  # dataclass equality covers stages, floats, env, notes
+
+
+# SHA-256 of sample_report().to_json(): reports written earlier stay byte-identical
+SAMPLE_REPORT_JSON_SHA256 = "8f76757f2d5b9b759fc89ce6aa9add73b7c25df6da353d12300b27822d11f7e6"
+
+
+def test_to_json_bytes_are_pinned():
+    text = sample_report().to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == SAMPLE_REPORT_JSON_SHA256
+    assert P.ProfileReport.from_json(text) == sample_report()
 
 
 def test_from_json_rejects_garbage():

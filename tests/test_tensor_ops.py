@@ -341,6 +341,26 @@ def test_scale_channels():
     np.testing.assert_array_equal(out[0, 2], -1.0)
 
 
+def test_float32_add_and_scale_equal_the_rounded_float64_result():
+    # one float32 rounding gives the same bits as rounding the float64 result
+    rng = np.random.default_rng(5)
+    a = (rng.standard_normal(4 * 3 * 8 * 8) * 10.0 ** rng.integers(-40, 38, 4 * 3 * 8 * 8))
+    a = a.astype(np.float32).reshape(4, 3, 8, 8)
+    b = rng.permutation(a.ravel()).reshape(a.shape)
+    want = (a.astype(np.float64) + b.astype(np.float64)).astype(np.float32)
+    np.testing.assert_array_equal(T.elementwise_add(a, b).view(np.uint32), want.view(np.uint32))
+    s32 = np.array([3e-39, -7.1, 1e30], np.float32)  # subnormal, plain, overflowing
+    with np.errstate(over="ignore"):
+        want = (a.astype(np.float64) * s32.astype(np.float64)[None, :, None, None]).astype(np.float32)
+        got = T.scale_channels(a, s32)
+    np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
+    # float64 operands are still added in float64: 1 + 0.4375 ulp rounds
+    # down on its own but up once 0.125 ulp is added to it
+    one_ulp = 2.0 ** -23
+    got = T.elementwise_add(np.array([1.0 + 0.4375 * one_ulp]), np.array([0.125 * one_ulp]))
+    assert got.dtype == np.float32 and got[0] == np.float32(1.0 + one_ulp)
+
+
 def test_elementwise_add_rejects_mismatch():
     with pytest.raises(ValueError, match="shape mismatch"):
         T.elementwise_add(np.zeros((1, 2)), np.zeros((2, 1)))
