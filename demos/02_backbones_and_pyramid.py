@@ -18,8 +18,9 @@ from refinedet_edge.head import assemble_model
 
 backbone = build_backbone("mobilenetv2", head_depth=256, width_multiplier=1.0)
 print("mobilenetv2 stage table (name, channels, cumulative stride):")
+pyramid_names = [name for name, _, _ in backbone.pyramid()]
 for name, channels, stride in backbone.stage_table():
-    marker = " <- pyramid" if name in backbone.pyramid_names() else ""
+    marker = " <- pyramid" if name in pyramid_names else ""
     print(f"  {name:<14} {channels:4d} ch   /{stride:<3d}{marker}")
 print()
 
@@ -29,8 +30,8 @@ print()
 print(f"{'backbone':<16} {'pyramid channels':<24} strides")
 for kind in BACKBONE_NAMES:
     b = build_backbone(kind, head_depth=256, width_multiplier=1.0)
-    chans = ",".join(f"{c}" for c in b.pyramid_channels())
-    strides = "/".join(str(s) for s in b.pyramid_strides())
+    chans = ",".join(f"{c}" for _, c, _ in b.pyramid())
+    strides = "/".join(str(s) for _, _, s in b.pyramid())
     print(f"{kind:<16} {chans:<24} {strides}")
 print()
 

@@ -9,31 +9,19 @@ Every composite block is a `Sequence` of units with an optional additive
 skip (identity or a strided 1x1 projection) and final relu, plus `Concat`
 for parallel branches; the block classes only construct their units.
 
-Nine backbone families are supported; each yields a 4-level feature pyramid
-at strides 8/16/32/64 relative to the input.  A width multiplier scales every
-realized channel count (topology is preserved exactly), which keeps desktop
-test models small.
+Nine backbone families are supported, one `FAMILIES` row each; each yields
+a 4-level feature pyramid at strides 8/16/32/64 relative to the input.  A
+width multiplier scales every realized channel count (topology is preserved
+exactly), which keeps desktop test models small.
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import tensor_ops as T
 from .weights import TensorDecl
-
-BACKBONE_NAMES = (
-    "vgg16",
-    "resnet18",
-    "resnext26",
-    "resnext50",
-    "se_resnext50",
-    "inception_senet",
-    "mobilenetv1",
-    "mobilenetv2",
-    "xception",
-)
-
 
 # Groups requested of a ResNeXt bottleneck's 3x3 convolution, and the
 # channel reduction of every squeeze-and-excitation gate.
@@ -427,8 +415,7 @@ class Backbone:
     8/16/32/64.
     """
 
-    def __init__(self, kind, stem, stages, attach, l2norm_levels=()):
-        self.kind = kind
+    def __init__(self, stem, stages, attach, l2norm_levels=()):
         self.stem = stem
         self.stages = stages
         self.attach = tuple(attach)
@@ -452,18 +439,10 @@ class Backbone:
             rows.append((stage.out_name, stage.layer.out_channels, cum))
         return rows
 
-    def _pyramid_rows(self):
+    def pyramid(self):
+        """The stage_table rows of the four pyramid levels, in stride order."""
         stage_rows = self.stage_table()[-len(self.stages):]
         return [stage_rows[i] for i in self.pyramid_indices]
-
-    def pyramid_names(self):
-        return [name for name, _, _ in self._pyramid_rows()]
-
-    def pyramid_channels(self):
-        return [c for _, c, _ in self._pyramid_rows()]
-
-    def pyramid_strides(self):
-        return [stride for _, _, stride in self._pyramid_rows()]
 
     def decls(self):
         out = [] if self.stem is None else self.stem.decls()
@@ -482,6 +461,23 @@ class Backbone:
             if i in wanted:
                 feats[i] = x
         return [feats[i] for i in self.pyramid_indices]
+
+
+def _stem7(wm):
+    """The 7x7 stride-2 convolution and 3x3 max pool that open the ResNet-style stems."""
+    return [
+        ConvUnit("backbone/conv1", 3, scaled(64, wm), 7, stride=2),
+        MaxPoolUnit(3, 2, 1),
+    ]
+
+
+def _chain(block, rows, c_prev, wm):
+    """One stage per (name, c_out, stride, *extra) row: `block` fed by the stage before."""
+    stages = []
+    for name, c, stride, *extra in rows:
+        stages.append(Stage(name, block(f"backbone/{name}", c_prev, scaled(c, wm), stride, *extra)))
+        c_prev = scaled(c, wm)
+    return stages
 
 
 def _vgg16(head_depth, wm):
@@ -507,15 +503,11 @@ def _vgg16(head_depth, wm):
         ConvUnit("backbone/conv6_2", s(head_depth), s(head_depth), 3, stride=2, **kw),
     ])
     stages.append(Stage("conv6", conv6, "conv6_2"))
-    return Backbone("vgg16", None, stages, attach=(3, 4, 5), l2norm_levels=(0, 1))
+    return Backbone(None, stages, attach=(3, 4, 5), l2norm_levels=(0, 1))
 
 
 def _resnet18(head_depth, wm):
     s = lambda c: scaled(c, wm)
-    stem = Sequence([
-        ConvUnit("backbone/conv1", 3, s(64), 7, stride=2),
-        MaxPoolUnit(3, 2, 1),
-    ])
     stages = []
     c_prev = s(64)
     for name, c, stride in [("res2", 64, 1), ("res3", 128, 2), ("res4", 256, 2), ("res5", 512, 2)]:
@@ -526,87 +518,52 @@ def _resnet18(head_depth, wm):
         stages.append(Stage(name, Sequence(blocks), f"{name}_2"))
         c_prev = s(c)
     stages.append(Stage("res6", BasicResBlock("backbone/res6", c_prev, s(head_depth), 2)))
-    return Backbone("resnet18", stem, stages, attach=(1, 2, 3))
-
-
-def _resnext_stem(wm):
-    return Sequence([
-        ConvUnit("backbone/conv1", 3, scaled(64, wm), 7, stride=2),
-        MaxPoolUnit(3, 2, 1),
-    ])
+    return Backbone(Sequence(_stem7(wm)), stages, attach=(1, 2, 3))
 
 
 def _resnext26(head_depth, wm):
-    s = lambda c: scaled(c, wm)
-    plan = [  # (name, c_out, stride)
+    rows = [  # (name, c_out, stride)
         ("resx1", 256, 1), ("resx2", 256, 1),
         ("resx3", 512, 2), ("resx4", 512, 1),
         ("resx5", 1024, 2), ("resx6", 1024, 1),
         ("resx7", 2048, 2), ("resx8", 2048, 1),
         ("resx9", head_depth, 2),
     ]
-    stages = []
-    c_prev = s(64)
-    for name, c, stride in plan:
-        stages.append(Stage(name, ResNeXtBlock(f"backbone/{name}", c_prev, s(c), stride)))
-        c_prev = s(c)
-    return Backbone("resnext26", _resnext_stem(wm), stages, attach=(3, 5, 7))
+    stages = _chain(ResNeXtBlock, rows, scaled(64, wm), wm)
+    return Backbone(Sequence(_stem7(wm)), stages, attach=(3, 5, 7))
 
 
 def _resnext50(head_depth, wm, se=False):
-    s = lambda c: scaled(c, wm)
-    counts = [3, 4, 6, 3]
-    chans = [256, 512, 1024, 2048]
-    if se:
-        group_names = ["conv2", "conv3", "conv4", "conv5"]
-        kind = "se_resnext50"
-        top_name = "conv6"
-    else:
-        group_names = None  # flat resx numbering
-        kind = "resnext50"
-        top_name = "resx17"
-    stages = []
-    c_prev = s(64)
-    idx = 0
-    for g, (n_blocks, c) in enumerate(zip(counts, chans)):
+    rows = []  # (name, c_out, stride): flat resx numbering, or convG_B with SE
+    for g, (n_blocks, c) in enumerate(zip([3, 4, 6, 3], [256, 512, 1024, 2048])):
         for b in range(1, n_blocks + 1):
-            idx += 1
-            stride = 2 if (b == 1 and g > 0) else 1
-            name = f"{group_names[g]}_{b}" if se else f"resx{idx}"
-            stages.append(Stage(name, ResNeXtBlock(f"backbone/{name}", c_prev, s(c), stride, se=se)))
-            c_prev = s(c)
-    stages.append(Stage(top_name, ResNeXtBlock(f"backbone/{top_name}", c_prev, s(head_depth), 2, se=se)))
-    return Backbone(kind, _resnext_stem(wm), stages, attach=(6, 12, 15))
+            name = f"conv{g + 2}_{b}" if se else f"resx{len(rows) + 1}"
+            rows.append((name, c, 2 if (b == 1 and g > 0) else 1))
+    rows.append(("conv6" if se else "resx17", head_depth, 2))
+    stages = _chain(partial(ResNeXtBlock, se=se), rows, scaled(64, wm), wm)
+    return Backbone(Sequence(_stem7(wm)), stages, attach=(6, 12, 15))
 
 
 def _inception_senet(head_depth, wm):
     s = lambda c: scaled(c, wm)
-    stem = Sequence([
-        ConvUnit("backbone/conv1", 3, s(64), 7, stride=2),
-        MaxPoolUnit(3, 2, 1),
+    stem = Sequence(_stem7(wm) + [
         ConvUnit("backbone/conv2_1", s(64), s(64), 1),
         ConvUnit("backbone/conv2_2", s(64), s(192), 3),
         MaxPoolUnit(3, 2, 1),
     ])
-    plan = [  # ten inception blocks, then the added top block
+    rows = [  # ten inception blocks, then the added top block
         ("inception_3a", 256, 1), ("inception_3b", 320, 1), ("inception_3c", 576, 2),
         ("inception_4a", 576, 1), ("inception_4b", 576, 1), ("inception_4c", 608, 1),
         ("inception_4d", 608, 1), ("inception_4e", 1056, 2),
         ("inception_5a", 1056, 1), ("inception_5b", 1024, 1),
         ("inception_6", head_depth, 2),
     ]
-    stages = []
-    c_prev = s(192)
-    for name, c, stride in plan:
-        stages.append(Stage(name, InceptionSEBlock(f"backbone/{name}", c_prev, s(c), stride)))
-        c_prev = s(c)
-    return Backbone("inception_senet", stem, stages, attach=(1, 6, 9))
+    return Backbone(stem, _chain(InceptionSEBlock, rows, s(192), wm), attach=(1, 6, 9))
 
 
 def _mobilenetv1(head_depth, wm):
-    s = lambda c: scaled(c, wm)
-    stem = ConvUnit("backbone/conv1", 3, s(32), 3, stride=2)
-    plan = [
+    stem = ConvUnit("backbone/conv1", 3, scaled(32, wm), 3, stride=2)
+    rows = [
         ("conv2_1", 64, 1), ("conv2_2", 128, 2),
         ("conv3_1", 128, 1), ("conv3_2", 256, 2),
         ("conv4_1", 256, 1), ("conv4_2", 512, 2),
@@ -615,18 +572,12 @@ def _mobilenetv1(head_depth, wm):
         ("conv6", 1024, 1),
         ("conv7", 512, 2),  # added top block, depthwise-separable like the rest
     ]
-    stages = []
-    c_prev = s(32)
-    for name, c, stride in plan:
-        stages.append(Stage(name, DepthwiseSeparable(f"backbone/{name}", c_prev, s(c), stride)))
-        c_prev = s(c)
-    return Backbone("mobilenetv1", stem, stages, attach=(4, 10, 12))
+    return Backbone(stem, _chain(DepthwiseSeparable, rows, scaled(32, wm), wm), attach=(4, 10, 12))
 
 
 def _mobilenetv2(head_depth, wm):
-    s = lambda c: scaled(c, wm)
-    stem = ConvUnit("backbone/conv1", 3, s(32), 3, stride=2)
-    plan = [  # (name, c_out, stride, expansion)
+    stem = ConvUnit("backbone/conv1", 3, scaled(32, wm), 3, stride=2)
+    rows = [  # (name, c_out, stride, expansion)
         ("conv2_1", 16, 1, 1),
         ("conv2_2", 24, 2, 6), ("conv2_3", 24, 1, 6),
         ("conv3_1", 32, 2, 6), ("conv3_2", 32, 1, 6), ("conv3_3", 32, 1, 6),
@@ -635,12 +586,7 @@ def _mobilenetv2(head_depth, wm):
         ("conv6_1", 160, 2, 6), ("conv6_2", 160, 1, 6), ("conv6_3", 160, 1, 6), ("conv6_4", 320, 1, 6),
         ("conv7", 96, 2, 6),  # added top block keeps the family's 96-deep tail
     ]
-    stages = []
-    c_prev = s(32)
-    for name, c, stride, t in plan:
-        stages.append(Stage(name, InvertedResidual(f"backbone/{name}", c_prev, s(c), stride, t)))
-        c_prev = s(c)
-    return Backbone("mobilenetv2", stem, stages, attach=(4, 12, 16))
+    return Backbone(stem, _chain(InvertedResidual, rows, scaled(32, wm), wm), attach=(4, 12, 16))
 
 
 def _xception(head_depth, wm):
@@ -649,31 +595,45 @@ def _xception(head_depth, wm):
         ConvUnit("backbone/conv1", 3, s(32), 3, stride=2),
         ConvUnit("backbone/conv2", s(32), s(64), 3),
     ])
-    stages = []
-    c_prev = s(64)
-    plan = [("xception1", 128, 2), ("xception2", 256, 2), ("xception3", 728, 1)]
-    plan += [(f"xception{i}", 728, 1) for i in range(4, 12)]
-    plan += [("xception12", 1024, 2)]
-    for name, c, stride in plan:
-        stages.append(Stage(name, XceptionBlock(f"backbone/{name}", c_prev, s(c), stride)))
-        c_prev = s(c)
-    stages.append(Stage("conv4_1", DepthwiseSeparable("backbone/conv4_1", c_prev, s(1536), 2)))
-    stages.append(Stage("conv4_2", DepthwiseSeparable("backbone/conv4_2", s(1536), s(2048), 1)))
-    stages.append(Stage("xception13", XceptionBlock("backbone/xception13", s(2048), s(head_depth), 2)))
-    return Backbone("xception", stem, stages, attach=(10, 11, 13))
+    rows = [("xception1", 128, 2), ("xception2", 256, 2), ("xception3", 728, 1)]
+    rows += [(f"xception{i}", 728, 1) for i in range(4, 12)]
+    rows += [("xception12", 1024, 2)]
+    stages = _chain(XceptionBlock, rows, s(64), wm)
+    stages += _chain(DepthwiseSeparable, [("conv4_1", 1536, 2), ("conv4_2", 2048, 1)], s(1024), wm)
+    stages += _chain(XceptionBlock, [("xception13", head_depth, 2)], s(2048), wm)
+    return Backbone(stem, stages, attach=(10, 11, 13))
 
 
-_BUILDERS = {
-    "vgg16": _vgg16,
-    "resnet18": _resnet18,
-    "resnext26": _resnext26,
-    "resnext50": lambda head, wm: _resnext50(head, wm, se=False),
-    "se_resnext50": lambda head, wm: _resnext50(head, wm, se=True),
-    "inception_senet": _inception_senet,
-    "mobilenetv1": _mobilenetv1,
-    "mobilenetv2": _mobilenetv2,
-    "xception": _xception,
+@dataclass(frozen=True)
+class Family:
+    """One backbone family: its constructor, the block its detection branch
+    reuses (so that branch keeps the backbone's character), and the
+    intermediate depth where it is not the head depth."""
+
+    build: object  # (head_depth, width_multiplier) -> Backbone
+    intermediate: object  # (name, c_in, depth) -> block
+    intermediate_depth: int = 0  # 0: the head depth
+
+
+FAMILIES = {
+    "vgg16": Family(_vgg16, partial(ConvUnit, bias=True, bn=False)),
+    "resnet18": Family(_resnet18, BasicResBlock),
+    "resnext26": Family(_resnext26, ResNeXtBlock),
+    "resnext50": Family(_resnext50, ResNeXtBlock),
+    "se_resnext50": Family(partial(_resnext50, se=True), partial(ResNeXtBlock, se=True)),
+    "inception_senet": Family(_inception_senet, InceptionSEBlock),
+    "mobilenetv1": Family(_mobilenetv1, DepthwiseSeparable),
+    "mobilenetv2": Family(_mobilenetv2, InvertedResidual, intermediate_depth=96),  # its 96-deep tail
+    "xception": Family(_xception, XceptionBlock),
 }
+BACKBONE_NAMES = tuple(FAMILIES)
+
+
+def _family(kind):
+    """The FAMILIES entry for `kind`, or a ValueError naming the legal ones."""
+    if kind not in FAMILIES:
+        raise ValueError(f"unknown backbone {kind!r}; expected one of {BACKBONE_NAMES}")
+    return FAMILIES[kind]
 
 
 def build_backbone(kind, head_depth=256, width_multiplier=1.0):
@@ -682,31 +642,9 @@ def build_backbone(kind, head_depth=256, width_multiplier=1.0):
     `head_depth` sets the channel depth of the added top stage (and, for most
     families, of the detection-side layers built on top of this backbone).
     """
-    if kind not in _BUILDERS:
-        raise ValueError(f"unknown backbone {kind!r}; expected one of {BACKBONE_NAMES}")
-    return _BUILDERS[kind](head_depth, width_multiplier)
+    return _family(kind).build(head_depth, width_multiplier)
 
 
 def intermediate_block(kind, name, c_in, depth):
-    """The per-level block between a backbone feature and its fusion layer.
-
-    Each family reuses its own building block so the detection branch keeps
-    the backbone's character.
-    """
-    if kind == "vgg16":
-        return ConvUnit(name, c_in, depth, 3, bias=True, bn=False)
-    if kind == "resnet18":
-        return BasicResBlock(name, c_in, depth)
-    if kind in ("resnext26", "resnext50"):
-        return ResNeXtBlock(name, c_in, depth)
-    if kind == "se_resnext50":
-        return ResNeXtBlock(name, c_in, depth, se=True)
-    if kind == "inception_senet":
-        return InceptionSEBlock(name, c_in, depth)
-    if kind == "mobilenetv1":
-        return DepthwiseSeparable(name, c_in, depth)
-    if kind == "mobilenetv2":
-        return InvertedResidual(name, c_in, depth)
-    if kind == "xception":
-        return XceptionBlock(name, c_in, depth)
-    raise ValueError(f"unknown backbone {kind!r}; expected one of {BACKBONE_NAMES}")
+    """The per-level block between a backbone feature and its fusion layer."""
+    return _family(kind).intermediate(name, c_in, depth)

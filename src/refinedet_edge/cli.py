@@ -8,8 +8,9 @@ Verbs:
   report    render a saved benchmark report (JSON) as text or csv
   fixtures  write the 50 desk-size experiment configs
 
-Exit codes: 0 success, 2 missing file or bad usage, 3 invalid value
-(config errors included), 4 unexpected internal failure.
+Exit codes: 0 success, 2 missing or unreadable path (a directory where a
+file belongs, or the reverse) or bad usage, 3 invalid value (config errors
+included), 4 unexpected internal failure.
 """
 
 import argparse
@@ -74,10 +75,7 @@ def _cmd_build(args):
     print(f"input: {spec.input_size}x{spec.input_size}")
     print(f"anchors: {len(model.anchors)}")
     print(f"parameters: {model.param_count()} trainable")
-    names = model.backbone.pyramid_names()
-    strides = model.backbone.pyramid_strides()
-    chans = model.backbone.pyramid_channels()
-    for name, s, c in zip(names, strides, chans):
+    for name, c, s in model.backbone.pyramid():
         side = spec.input_size // s
         print(f"  level {name}: stride {s}, {side}x{side}, {c} ch")
     if args.verbose:
@@ -210,6 +208,9 @@ def main(argv=None):
     except FileNotFoundError as e:
         name = e.filename if e.filename else e
         print(f"error: file not found: {name}", file=sys.stderr)
+        return 2
+    except OSError as e:
+        print(f"error: {e.filename}: {e.strerror}" if e.filename else f"error: {e}", file=sys.stderr)
         return 2
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -14,6 +14,7 @@ import numpy as np
 from . import tensor_ops as T
 from .blocks import (
     CARDINALITY,
+    FAMILIES,
     ConvUnit,
     DeconvUnit,
     L2NormUnit,
@@ -181,21 +182,16 @@ class DetectionModel:
         )
         self.backbone = build_backbone(spec.backbone, spec.head_depth, wm)
 
-        feat_strides = tuple(self.backbone.pyramid_strides())
+        pyramid = self.backbone.pyramid()
+        feat_strides = tuple(stride for _, _, stride in pyramid)
         if feat_strides != tuple(spec.anchor_strides):
             raise ValueError(
                 f"anchor strides {tuple(spec.anchor_strides)} do not match "
                 f"backbone feature strides {feat_strides}"
             )
-        chans = self.backbone.pyramid_channels()
-        if len(chans) != 4:
-            raise ValueError(f"expected a 4-level pyramid, got {len(chans)} levels")
 
         depth = scaled(spec.head_depth, wm)
-        if spec.backbone == "mobilenetv2":
-            interm_depth = scaled(96, wm)  # this family keeps its 96-deep tail
-        else:
-            interm_depth = depth
+        interm_depth = scaled(FAMILIES[spec.backbone].intermediate_depth or spec.head_depth, wm)
         self.tcb_depth_realized = depth
         self.interm_depth_realized = interm_depth
 
@@ -203,8 +199,8 @@ class DetectionModel:
         C = spec.num_classes
         self.l2norms = {}
         for lvl in self.backbone.l2norm_levels:
-            name = self.backbone.pyramid_names()[lvl]
-            self.l2norms[lvl] = L2NormUnit(f"head/{name}_l2norm", chans[lvl])
+            name, c, _ = pyramid[lvl]
+            self.l2norms[lvl] = L2NormUnit(f"head/{name}_l2norm", c)
 
         self.arm_cls = []
         self.arm_reg = []
@@ -212,7 +208,7 @@ class DetectionModel:
         self.tcb = []
         self.odm_cls = []
         self.odm_reg = []
-        for i, c in enumerate(chans):
+        for i, (_, c, _) in enumerate(pyramid):
             self.arm_cls.append(ConvUnit(f"head/arm_cls{i}", c, 2 * A, 3, bias=True, bn=False, act="none"))
             self.arm_reg.append(ConvUnit(f"head/arm_reg{i}", c, 4 * A, 3, bias=True, bn=False, act="none"))
             self.intermediates.append(
@@ -244,7 +240,7 @@ class DetectionModel:
         for name, c, stride in self.backbone.stage_table():
             notes.append(f"  {name}: {c} ch, stride {stride}")
         notes.append(
-            f"pyramid: {list(zip(self.backbone.pyramid_names(), self.backbone.pyramid_strides()))}"
+            f"pyramid: {[(name, stride) for name, _, stride in self.backbone.pyramid()]}"
         )
         notes.append(
             f"realized head widths: tcb {self.tcb_depth_realized}, intermediate {self.interm_depth_realized}"
@@ -340,6 +336,8 @@ class DetectionModel:
     def infer(self, image, nms_params=None, timer=None, counters=None):
         """Full single-image pass: forward, refine, filter, decode, suppress."""
         image = np.asarray(image)
+        if image.ndim not in (3, 4):
+            raise ValueError(f"infer expects a (3, h, w) image or a batch of one, got shape {image.shape}")
         if image.ndim == 3:
             image = image[None]
         if image.shape[0] != 1:

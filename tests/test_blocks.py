@@ -247,9 +247,10 @@ def test_inception_se_block_forward_shapes():
 @pytest.mark.parametrize("kind", B.BACKBONE_NAMES)
 def test_backbone_pyramid_strides(kind):
     bb = B.build_backbone(kind, head_depth=256, width_multiplier=1.0)
-    assert bb.pyramid_strides() == [8, 16, 32, 64]
-    assert len(bb.pyramid_channels()) == 4
-    assert all(c >= 1 for c in bb.pyramid_channels())
+    pyramid = bb.pyramid()
+    assert [stride for _, _, stride in pyramid] == [8, 16, 32, 64]
+    assert all(c >= 1 for _, c, _ in pyramid)
+    assert set(pyramid) <= set(bb.stage_table())  # rows of the stage table
 
 
 @pytest.mark.parametrize("kind", B.BACKBONE_NAMES)
@@ -258,7 +259,7 @@ def test_backbone_forward_shapes_thin(kind):
     bundle = W.init_from_decls(bb.decls(), seed=0)
     x = np.random.default_rng(25).random((1, 3, 64, 64), dtype=np.float32)
     feats = bb.forward(x, bundle)
-    chans = bb.pyramid_channels()
+    chans = [c for _, c, _ in bb.pyramid()]
     for lvl, (f, c, stride) in enumerate(zip(feats, chans, (8, 16, 32, 64))):
         side = 64 // stride
         assert f.shape == (1, c, side, side), f"{kind} level {lvl}"

@@ -67,6 +67,11 @@ def test_missing_config_exits_2(tmp_path, capsys):
     assert "file not found" in capsys.readouterr().err
 
 
+def test_directory_config_exits_2(tmp_path, capsys):
+    assert cli.main(["build", str(tmp_path)]) == 2
+    assert f"error: {tmp_path}: Is a directory" in capsys.readouterr().err
+
+
 def test_bad_config_exits_3(tmp_path, capsys):
     path = tmp_path / "bad.cfg"
     path.write_text("name = t\n")  # format_version missing
@@ -276,6 +281,11 @@ def test_eval_missing_file_exits_2(tmp_path, capsys):
     assert cli.main(["eval", str(tmp_path / "nope.csv"), str(gpath)]) == 2
 
 
+def test_eval_directories_exit_2(tmp_path, capsys):
+    assert cli.main(["eval", str(tmp_path), str(tmp_path)]) == 2
+    assert f"error: {tmp_path}: Is a directory" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("which, record", [
     ("detections", "img-1,1,10,10,20,20,nan"),
     ("ground truth", "img-1,1,10,10,-20,20"),
@@ -302,3 +312,10 @@ def test_fixtures_writes_50_configs(tmp_path, capsys):
     assert files[0].name.endswith("exp01.cfg") or files[0].name == "exp01.cfg"
     spec = C.parse_file(files[0])
     assert spec.width_multiplier == C.FIXTURE_WIDTH_MULTIPLIER
+
+
+def test_fixtures_into_a_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "taken"
+    path.write_text("")
+    assert cli.main(["fixtures", str(path)]) == 2
+    assert f"error: {path}: File exists" in capsys.readouterr().err

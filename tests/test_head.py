@@ -6,6 +6,7 @@ import pytest
 from refinedet_edge import head as H
 from refinedet_edge import tensor_ops as T
 from refinedet_edge import weights as W
+from refinedet_edge.blocks import BACKBONE_NAMES
 from refinedet_edge.config import ModelSpec
 from oracles import anchors_gold
 
@@ -213,6 +214,22 @@ def test_model_weight_manifest_is_pinned(kind, head_depth):
     assert h.hexdigest() == MANIFEST_DIGESTS[kind, head_depth]
 
 
+# blake2b of every model's notes (stage table, pyramid, realized head widths,
+# cardinality fallbacks), which pin the stage names and the intermediate
+# depth that the manifest digests above do not see.
+NOTES_DIGEST = "0c9e56fbc7b28bb1"
+
+
+def test_model_notes_are_pinned():
+    h = hashlib.blake2b(digest_size=8)
+    for kind in BACKBONE_NAMES:
+        for head_depth in (128, 256):
+            for width in (0.0625, 1.0):
+                spec = ModelSpec(backbone=kind, head_depth=head_depth, width_multiplier=width)
+                h.update("\n".join(H.assemble_model(spec).notes).encode())
+    assert h.hexdigest() == NOTES_DIGEST
+
+
 def _signal_bundle(model, seed):
     # He-scaled convolutions and non-trivial batch-norm statistics: under the
     # default N(0, 0.01) init the outputs of these models barely depend on
@@ -322,6 +339,13 @@ def test_model_infer_accepts_unbatched_image():
     img = np.random.default_rng(4).random((3, 320, 320), dtype=np.float32)
     dets = model.infer(img)
     assert dets.boxes.shape[1] == 4
+
+
+def test_infer_names_the_shape_of_a_wrong_rank_image():
+    model = H.build_model(thin_spec())
+    for shape in [(320, 320), (1, 1, 3, 320, 320)]:
+        with pytest.raises(ValueError, match=rf"got shape \({shape[0]}, "):
+            model.infer(np.zeros(shape, np.float32))
 
 
 def test_model_stride_mismatch_detected():
