@@ -85,15 +85,32 @@ class ConvUnit:
         return out
 
     def forward(self, x, w):
+        weights = w[f"{self.name}/w"]
         b = w[f"{self.name}/b"] if self.bias else None
-        y = T.conv2d(x, w[f"{self.name}/w"], b, self.params)
         if self.bn:
-            y = T.batch_norm_inference(
-                y, w[f"{self.name}/bn_mean"], w[f"{self.name}/bn_var"],
-                w[f"{self.name}/bn_gamma"], w[f"{self.name}/bn_beta"])
+            weights, b = self._fold_batch_norm(weights, b, w)
+        y = T.conv2d(x, weights, b, self.params)
         if self.act == "relu":
-            y = T.relu(y)
+            np.maximum(y, 0, out=y)
         return y
+
+    def _fold_batch_norm(self, weights, b, w):
+        """Float64 weights and bias of conv followed by inference batch-norm.
+
+        bn(conv(x) + b) = conv(x) * scale + (b - mean) * scale + beta with
+        scale = gamma / sqrt(var + BN_EPS) per output channel (Jacob et al.
+        2018, arXiv 1712.05877), so one convolution with weights * scale
+        computes both.  The bundle's arrays are only read.
+        """
+        var = w[f"{self.name}/bn_var"]
+        if np.any(var < 0):
+            c = int(np.argmax(var < 0))
+            raise ValueError(f"{self.name}/bn_var must be non-negative, got {float(var[c])} at channel {c}")
+        scale = w[f"{self.name}/bn_gamma"] / np.sqrt(var.astype(np.float64) + T.BN_EPS)
+        shift = w[f"{self.name}/bn_beta"] - w[f"{self.name}/bn_mean"] * scale
+        if b is not None:
+            shift += b * scale
+        return np.multiply(weights, scale[:, None, None, None], dtype=np.float64), shift
 
 
 class DeconvUnit:

@@ -3,7 +3,9 @@
 Every operation is a pure function over float32 arrays laid out as
 (batch, channels, height, width).  Kernels accumulate in float64 and store
 results as float32, so scalar reference implementations agree to tight
-tolerances and repeated runs are bit-identical.
+tolerances and repeated runs are bit-identical.  `conv2d` also takes
+float64 weights and bias, and uses them without a copy: a layer passes its
+batch-norm folded into them that way (blocks.ConvUnit).
 
 `conv2d` has two paths, both with scratch memory of a fixed size:
 
@@ -18,10 +20,11 @@ tolerances and repeated runs are bit-identical.
   the K-sum, so results agree with the oracles to rounding, do not depend
   on the chunk size, and repeat exactly.
 
-`batch_norm_inference` runs its float64 steps in place on channel blocks of
-the same size, in the order of the formula, so it is bit-identical to the
-whole-map expression by construction.  `deconv2d` is one GEMM for all taps
-followed by a scatter-add per tap.
+`batch_norm_inference` is the unfolded formula as a standalone kernel;
+layers fold batch-norm into `conv2d` instead.  It runs its float64 steps in
+place on channel blocks of the same size, in the order of the formula, so
+it is bit-identical to the whole-map expression by construction.
+`deconv2d` is one GEMM for all taps followed by a scatter-add per tap.
 """
 
 from dataclasses import dataclass
@@ -75,8 +78,9 @@ def conv2d(x, weights, bias, params):
     """Grouped 2-D convolution.
 
     x:       (n, c_in, h, w) float32
-    weights: (c_out, c_in // groups, kh, kw) float32
-    bias:    (c_out,) or None
+    weights: (c_out, c_in // groups, kh, kw) float32 or float64; float64
+             weights (batch-norm folded in, say) are used without a copy
+    bias:    (c_out,) float32 or float64, or None
     params:  ConvParams; params.kernel must match the weight tensor.
 
     Returns (n, c_out, oh, ow) float32.  Accumulates in float64.
@@ -111,12 +115,13 @@ def conv2d(x, weights, bias, params):
     if ow < 1:
         raise ValueError(f"kernel width {kw} exceeds padded input width {w + 2 * p}")
 
-    b64 = bias.astype(np.float64) if bias is not None and bias.size else None
+    b64 = bias.astype(np.float64, copy=False) if bias is not None and bias.size else None
+    w64 = weights.astype(np.float64, copy=False)
     out = np.empty((n, c_out, oh, ow), dtype=np.float32)
     if g == c_in == c_out:
-        _depthwise(x, weights.astype(np.float64), b64, s, p, out)
+        _depthwise(x, w64, b64, s, p, out)
     else:
-        _dense(x, weights.astype(np.float64), b64, s, p, g, out)
+        _dense(x, w64, b64, s, p, g, out)
     return out
 
 

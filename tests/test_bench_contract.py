@@ -75,8 +75,9 @@ def test_nms_greedy_input_has_a_length(monkeypatch, triple, want):
 def test_layers_look_kernels_up_at_call_time(kind, monkeypatch):
     # the tracer replaces tensor_ops attributes after the model is built; a
     # layer holding its own reference to a kernel (an imported name, or a
-    # function stored at construction) would bypass it and zero the conv and
-    # batch-norm metrics
+    # function stored at construction) would bypass it and zero the conv
+    # metrics.  Batch-norm is folded into each conv2d call, so the
+    # standalone kernel runs no more.
     model = build_model(ModelSpec(backbone=kind, input_size=64, width_multiplier=0.0625,
                                   num_classes=4))
     calls = {"conv2d": 0, "batch_norm_inference": 0}
@@ -89,5 +90,5 @@ def test_layers_look_kernels_up_at_call_time(kind, monkeypatch):
     decls = model.weight_manifest()
     convs = [d for d in decls
              if d.name.endswith("/w") and len(d.shape) == 4 and "/up/" not in d.name]
-    bns = [d for d in decls if d.name.endswith("/bn_gamma")]
-    assert calls == {"conv2d": len(convs), "batch_norm_inference": len(bns)}
+    assert any(d.name.endswith("/bn_gamma") for d in decls)
+    assert calls == {"conv2d": len(convs), "batch_norm_inference": 0}

@@ -58,3 +58,37 @@ def test_compare_pairs_runs_in_order():
     change = runs("m", [2.0, 4.0])  # worse in pair 0, better in pair 1
     out = bench_pair.compare(base, change, declared("lower"))["m"]
     assert (out["change_wins"], out["change_losses"], out["ties"]) == (1, 1, 0)
+
+
+def verdict_of(better, base, change):
+    return bench_pair.compare(runs("m", base), runs("m", change), declared(better))["m"]["verdict"]
+
+
+@pytest.mark.parametrize("better, sign", [("lower", 1), ("higher", -1)], ids=["lower", "higher"])
+def test_verdict_gain_needs_nine_tenths_of_pairs_and_a_gap_past_the_spread(better, sign):
+    base = [sign * v for v in [100.0, 101.0, 102.0, 103.0, 104.0, 100.0, 101.0, 102.0, 103.0, 104.0]]
+    better_by = lambda d: [b - sign * d for b in base]
+    assert verdict_of(better, base, better_by(10.0)) == "gain"
+    # 9 of 10 pairs won still counts; 8 of 10 does not
+    nine = better_by(10.0)[:9] + [base[9]]
+    assert verdict_of(better, base, nine) == "gain"
+    eight = better_by(10.0)[:8] + base[8:]
+    assert verdict_of(better, base, eight) == "within_bound"
+    # every pair won, but by less than the parent's quartile spread (q3 - q1 = 2.5)
+    assert verdict_of(better, base, better_by(2.0)) == "within_bound"
+
+
+@pytest.mark.parametrize("better, sign", [("lower", 1), ("higher", -1)], ids=["lower", "higher"])
+def test_verdict_regression_is_a_median_worse_than_the_bound(better, sign):
+    base = [sign * 100.0] * 4
+    assert verdict_of(better, base, [sign * 126.0] * 4) == "regression"
+    assert verdict_of(better, base, [sign * 124.0] * 4) == "within_bound"
+
+
+def test_verdict_unresolved_when_the_parent_spreads_wider_than_the_bound():
+    base = [50.0, 52.0, 66.0, 68.0, 50.0, 52.0, 66.0, 68.0]  # q3 - q1 = 17 > 0.25 x median 59
+    assert verdict_of("lower", base, [55.0] * 8) == "unresolved"
+    # every run of the change better than every run of the parent resolves it
+    assert verdict_of("lower", base, [49.0] * 7 + [49.5]) == "within_bound"
+    # a median worse by more than the bound is still a regression
+    assert verdict_of("lower", base, [80.0] * 8) == "regression"

@@ -4,6 +4,8 @@ import pytest
 from refinedet_edge import blocks as B
 from refinedet_edge import tensor_ops as T
 from refinedet_edge import weights as W
+from oracles import conv2d_gold
+from test_tensor_ops import ATOL, RTOL
 
 
 def fill_bundle(decl_list, rng=None, overrides=None):
@@ -53,16 +55,68 @@ def test_effective_cardinality():
 # primitive units
 
 
-def test_conv_unit_is_conv_bn_relu():
-    rng = np.random.default_rng(0)
-    unit = B.ConvUnit("u", 3, 5, 3, stride=2)
-    bundle = fill_bundle(unit.decls(), rng)
-    x = rand_map((2, 3, 9, 9), 1)
+def conv_bn_relu_gold(x, bundle, unit):
+    """The unfolded unit in float64: conv oracle, batch-norm formula, relu."""
+    n = unit.name
+    p = unit.params
+    b = bundle[f"{n}/b"] if unit.bias else None
+    y = conv2d_gold(x, bundle[f"{n}/w"], b, p.stride, p.padding, groups=p.groups).astype(np.float64)
+    stat = {k: bundle[f"{n}/bn_{k}"].astype(np.float64)[None, :, None, None]
+            for k in ("gamma", "beta", "mean", "var")}
+    y = stat["gamma"] * (y - stat["mean"]) / np.sqrt(stat["var"] + T.BN_EPS) + stat["beta"]
+    return np.maximum(y, 0.0) if unit.act == "relu" else y
+
+
+def bn_unit_bundle(unit, seed):
+    """Random weights (scaled to keep the oracle's float32 conv rounding far
+    below ATOL) and non-trivial running statistics."""
+    rng = np.random.default_rng(seed)
+    w_shape = (unit.c_out, unit.c_in // unit.params.groups, *unit.params.kernel)
+    over = {f"{unit.name}/w": 0.2 * rng.standard_normal(w_shape),
+            f"{unit.name}/bn_mean": 0.3 * rng.standard_normal(unit.c_out),
+            f"{unit.name}/bn_var": rng.uniform(0.5, 1.5, unit.c_out)}
+    return fill_bundle(unit.decls(), rng, over)
+
+
+CONV_UNITS = {
+    "depthwise": dict(c_in=6, c_out=6, kernel=3, stride=2, groups=6),
+    "dense": dict(c_in=3, c_out=5, kernel=3, stride=2),
+    "grouped": dict(c_in=8, c_out=4, kernel=3, stride=1, groups=2),
+}
+
+
+@pytest.mark.parametrize("act", ["relu", "none"])
+@pytest.mark.parametrize("bias", [False, True], ids=["no_bias", "bias"])
+@pytest.mark.parametrize("kind", sorted(CONV_UNITS))
+def test_conv_unit_is_conv_bn_relu(kind, bias, act):
+    unit = B.ConvUnit("u", **CONV_UNITS[kind], bias=bias, act=act)
+    bundle = bn_unit_bundle(unit, 0)
+    x = rand_map((2, unit.c_in, 9, 9), 1)
     got = unit.forward(x, bundle)
-    y = T.conv2d(x, bundle["u/w"], None, T.ConvParams(3, stride=2, padding=1))
-    y = T.batch_norm_inference(y, bundle["u/bn_mean"], bundle["u/bn_var"],
-                               bundle["u/bn_gamma"], bundle["u/bn_beta"])
-    np.testing.assert_array_equal(got, T.relu(y))
+    assert got.dtype == np.float32
+    np.testing.assert_allclose(got, conv_bn_relu_gold(x, bundle, unit), rtol=RTOL, atol=ATOL)
+    if act == "relu":
+        assert got.min() == 0
+
+
+def test_conv_unit_forward_repeats_and_leaves_weights_alone():
+    unit = B.ConvUnit("u", 3, 5, 3, bias=True)
+    bundle = bn_unit_bundle(unit, 4)
+    before = bundle.digest()
+    x = rand_map((1, 3, 8, 8), 5)
+    first = unit.forward(x, bundle)
+    second = unit.forward(x, bundle)
+    np.testing.assert_array_equal(first, second)
+    assert bundle.digest() == before
+
+
+def test_conv_unit_rejects_negative_variance():
+    unit = B.ConvUnit("stage/u", 3, 4, 3)
+    var = np.ones(4)
+    var[2] = -0.5
+    bundle = fill_bundle(unit.decls(), np.random.default_rng(6), {"stage/u/bn_var": var})
+    with pytest.raises(ValueError, match=r"stage/u/bn_var .*-0\.5 at channel 2"):
+        unit.forward(rand_map((1, 3, 6, 6), 7), bundle)
 
 
 def test_conv_unit_bias_no_bn():

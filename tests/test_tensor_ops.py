@@ -208,6 +208,24 @@ def test_conv2d_im2col_scratch_is_bounded(monkeypatch):
     assert np.array_equal(got, T.conv2d(x, wt, None, params))
 
 
+def test_conv2d_takes_float64_weights_without_a_copy():
+    # 512 -> 512 1x1 at 1x1: the 2 MiB of float64 weights dwarf everything
+    # else, so a cast or copy of them would show in the peak
+    rng = np.random.default_rng(12)
+    x = rand((1, 512, 1, 1), rng)
+    w64 = rand((512, 512, 1, 1), rng).astype(np.float64)
+    b64 = rand((512,), rng).astype(np.float64)
+    params = T.ConvParams(1)
+    tracemalloc.start()
+    try:
+        got = T.conv2d(x, w64, b64, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < w64.nbytes // 8
+    np.testing.assert_allclose(got, conv2d_gold(x, w64, b64, 1, 0), rtol=RTOL, atol=ATOL)
+
+
 # ---------------------------------------------------------------------------
 # deconv2d
 

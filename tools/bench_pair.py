@@ -13,9 +13,10 @@ first_seed + k and --trace 0, and the side that runs first alternates from
 pair to pair.  The file at the repository root records each side's commit
 id with the ids of its whole tree and of its src/ tree (which stay the same
 when the commit is rebased or amended), every run, and per workload and
-end-to-end metric each side's median and quartiles and how many pairs the
-change won, lost or tied.  Nothing under bench/ is changed or imported: the
-metric names, units, directions and bounds come from the change's
+end-to-end metric each side's median and quartiles, how many pairs the
+change won, lost or tied, and a verdict: gain, regression, unresolved or
+within_bound (see `verdict`).  Nothing under bench/ is changed or imported:
+the metric names, units, directions and bounds come from the change's
 BENCHMARK.json.
 """
 
@@ -75,8 +76,35 @@ def summary(values):
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def verdict(base, change, wins, lower, bound):
+    """The outcome of one metric's pairs.
+
+    gain:         the change won at least nine tenths of the pairs, and its
+                  median is better than the parent's by more than the
+                  parent's own quartile spread (q3 - q1);
+    regression:   the change's median is worse than the parent's by more
+                  than `bound` times the parent's median;
+    unresolved:   the parent's quartile spread is wider than `bound` times
+                  its median, and not every run of the change reads better
+                  than every run of the parent;
+    within_bound: otherwise.
+    """
+    sign = 1 if lower else -1  # sign * value: lower is better
+    base, change = [sign * v for v in base], [sign * v for v in change]
+    b, c = summary(base), summary(change)
+    gap = b["median"] - c["median"]  # > 0: the change is better
+    spread = b["q3"] - b["q1"]
+    if wins >= 0.9 * len(base) and gap > spread:
+        return "gain"
+    if -gap > bound * abs(b["median"]):
+        return "regression"
+    if spread > bound * abs(b["median"]) and not max(change) < min(base):
+        return "unresolved"
+    return "within_bound"
+
+
 def compare(base_runs, change_runs, declared):
-    """Per metric: each side's median and quartiles, and the pairs won."""
+    """Per metric: each side's median and quartiles, the pairs won, and the verdict."""
     out = {}
     for m in declared:
         name, lower = m["name"], m["better"] == "lower"
@@ -86,7 +114,8 @@ def compare(base_runs, change_runs, declared):
         ties = sum(c == b for b, c in zip(base, change))
         out[name] = {"unit": m["unit"], "better": m["better"], "bound": m["bound"],
                      "base": summary(base), "change": summary(change),
-                     "change_wins": wins, "change_losses": len(base) - wins - ties, "ties": ties}
+                     "change_wins": wins, "change_losses": len(base) - wins - ties, "ties": ties,
+                     "verdict": verdict(base, change, wins, lower, m["bound"])}
     return out
 
 
