@@ -49,10 +49,10 @@ def effective_cardinality(width, requested):
 
 
 class ConvUnit:
-    """Convolution padded by kernel height // 2, with optional bias, batch norm and activation."""
+    """Convolution padded by kernel height // 2, then an optional relu: batch
+    norm folded into the convolution (`bn=True`), or a `/b` bias (`bn=False`)."""
 
-    def __init__(self, name, c_in, c_out, kernel=3, stride=1,
-                 groups=1, bias=False, bn=True, act="relu"):
+    def __init__(self, name, c_in, c_out, kernel=3, stride=1, groups=1, bn=True, act="relu"):
         if act not in ("relu", "none"):
             raise ValueError(f"unknown activation {act!r}")
         kh, kw = T._as_pair(kernel)
@@ -60,7 +60,6 @@ class ConvUnit:
         self.c_in = c_in
         self.c_out = c_out
         self.params = T.ConvParams((kh, kw), stride=stride, padding=kh // 2, groups=groups)
-        self.bias = bias
         self.bn = bn
         self.act = act
 
@@ -75,32 +74,32 @@ class ConvUnit:
     def decls(self):
         kh, kw = self.params.kernel
         out = [TensorDecl(f"{self.name}/w", (self.c_out, self.c_in // self.params.groups, kh, kw))]
-        if self.bias:
-            out.append(TensorDecl(f"{self.name}/b", (self.c_out,)))
         if self.bn:
             out.append(TensorDecl(f"{self.name}/bn_gamma", (self.c_out,)))
             out.append(TensorDecl(f"{self.name}/bn_beta", (self.c_out,)))
             out.append(TensorDecl(f"{self.name}/bn_mean", (self.c_out,), const=0.0, trainable=False))
             out.append(TensorDecl(f"{self.name}/bn_var", (self.c_out,), const=1.0, trainable=False))
+        else:
+            out.append(TensorDecl(f"{self.name}/b", (self.c_out,)))
         return out
 
     def forward(self, x, w):
-        weights = w[f"{self.name}/w"]
-        b = w[f"{self.name}/b"] if self.bias else None
         if self.bn:
-            weights, b = self._fold_batch_norm(weights, b, w)
+            weights, b = self._fold_batch_norm(w)
+        else:
+            weights, b = w[f"{self.name}/w"], w[f"{self.name}/b"]
         y = T.conv2d(x, weights, b, self.params)
         if self.act == "relu":
             np.maximum(y, 0, out=y)
         return y
 
-    def _fold_batch_norm(self, weights, b, w):
+    def _fold_batch_norm(self, w):
         """Float64 weights and bias of conv followed by inference batch-norm.
 
-        bn(conv(x) + b) = conv(x) * scale + (b - mean) * scale + beta with
-        scale = gamma / sqrt(var + BN_EPS) per output channel (Jacob et al.
-        2018, arXiv 1712.05877), so one convolution with weights * scale
-        computes both.  The bundle's arrays are only read.
+        bn(conv(x)) = conv(x) * scale + beta - mean * scale with scale =
+        gamma / sqrt(var + BN_EPS) per output channel (Jacob et al. 2018,
+        arXiv 1712.05877), so one convolution with weights * scale computes
+        both.  The bundle's arrays are only read.
         """
         var = w[f"{self.name}/bn_var"]
         if np.any(var < 0):
@@ -108,9 +107,7 @@ class ConvUnit:
             raise ValueError(f"{self.name}/bn_var must be non-negative, got {float(var[c])} at channel {c}")
         scale = w[f"{self.name}/bn_gamma"] / np.sqrt(var.astype(np.float64) + T.BN_EPS)
         shift = w[f"{self.name}/bn_beta"] - w[f"{self.name}/bn_mean"] * scale
-        if b is not None:
-            shift += b * scale
-        return np.multiply(weights, scale[:, None, None, None], dtype=np.float64), shift
+        return np.multiply(w[f"{self.name}/w"], scale[:, None, None, None], dtype=np.float64), shift
 
 
 class DeconvUnit:
@@ -425,15 +422,15 @@ class Stage:
 
 
 class Backbone:
-    """Stem + ordered stages + pyramid attachment points.
+    """Ordered stages + pyramid attachment points.
 
+    A family's stem, where it has one, is its first stage, named "stem".
     The pyramid is the outputs of the three `attach` stages plus the final
     stage (the extra top block every backbone gains), in stride order
     8/16/32/64.
     """
 
-    def __init__(self, stem, stages, attach, l2norm_levels=()):
-        self.stem = stem
+    def __init__(self, stages, attach, l2norm_levels=()):
         self.stages = stages
         self.attach = tuple(attach)
         self.l2norm_levels = tuple(l2norm_levels)
@@ -445,12 +442,9 @@ class Backbone:
         return self.attach + (len(self.stages) - 1,)
 
     def stage_table(self):
-        """(name, out_channels, cumulative stride) per stage, stem first."""
+        """(name, out_channels, cumulative stride) per stage."""
         rows = []
         cum = 1
-        if self.stem is not None:
-            cum *= self.stem.stride_factor
-            rows.append(("stem", self.stem.out_channels, cum))
         for stage in self.stages:
             cum *= stage.layer.stride_factor
             rows.append((stage.out_name, stage.layer.out_channels, cum))
@@ -458,19 +452,14 @@ class Backbone:
 
     def pyramid(self):
         """The stage_table rows of the four pyramid levels, in stride order."""
-        stage_rows = self.stage_table()[-len(self.stages):]
-        return [stage_rows[i] for i in self.pyramid_indices]
+        rows = self.stage_table()
+        return [rows[i] for i in self.pyramid_indices]
 
     def decls(self):
-        out = [] if self.stem is None else self.stem.decls()
-        for stage in self.stages:
-            out.extend(stage.layer.decls())
-        return out
+        return [d for stage in self.stages for d in stage.layer.decls()]
 
     def forward(self, x, w):
         """Return the four pyramid feature maps for a batch of images."""
-        if self.stem is not None:
-            x = self.stem.forward(x, w)
         wanted = set(self.pyramid_indices)
         feats = {}
         for i, stage in enumerate(self.stages):
@@ -480,12 +469,14 @@ class Backbone:
         return [feats[i] for i in self.pyramid_indices]
 
 
-def _stem7(wm):
-    """The 7x7 stride-2 convolution and 3x3 max pool that open the ResNet-style stems."""
-    return [
+def _stem7(wm, *more):
+    """The stem stage of the ResNet-style families: a 7x7 stride-2
+    convolution and a 3x3 max pool, then the layers in `more`."""
+    return Stage("stem", Sequence([
         ConvUnit("backbone/conv1", 3, scaled(64, wm), 7, stride=2),
         MaxPoolUnit(3, 2, 1),
-    ]
+        *more,
+    ]))
 
 
 def _chain(block, rows, c_prev, wm):
@@ -499,7 +490,6 @@ def _chain(block, rows, c_prev, wm):
 
 def _vgg16(head_depth, wm):
     s = lambda c: scaled(c, wm)
-    kw = dict(bias=True, bn=False)
     stages = []
     plan = [("conv1", 2, 64, False), ("conv2", 2, 128, True), ("conv3", 3, 256, True),
             ("conv4", 3, 512, True), ("conv5", 3, 512, True)]
@@ -507,25 +497,25 @@ def _vgg16(head_depth, wm):
     for name, n_convs, c, pool in plan:
         layers = [MaxPoolUnit(2, 2)] if pool else []
         for i in range(1, n_convs + 1):
-            layers.append(ConvUnit(f"backbone/{name}_{i}", c_prev, s(c), 3, **kw))
+            layers.append(ConvUnit(f"backbone/{name}_{i}", c_prev, s(c), 3, bn=False))
             c_prev = s(c)
         stages.append(Stage(name, Sequence(layers), f"{name}_{n_convs}"))
     conv_fc = Sequence([
-        ConvUnit("backbone/conv_fc6", c_prev, s(1024), 3, stride=2, **kw),
-        ConvUnit("backbone/conv_fc7", s(1024), s(1024), 1, **kw),
+        ConvUnit("backbone/conv_fc6", c_prev, s(1024), 3, stride=2, bn=False),
+        ConvUnit("backbone/conv_fc7", s(1024), s(1024), 1, bn=False),
     ])
     stages.append(Stage("conv_fc", conv_fc, "conv_fc7"))
     conv6 = Sequence([
-        ConvUnit("backbone/conv6_1", s(1024), s(head_depth), 1, **kw),
-        ConvUnit("backbone/conv6_2", s(head_depth), s(head_depth), 3, stride=2, **kw),
+        ConvUnit("backbone/conv6_1", s(1024), s(head_depth), 1, bn=False),
+        ConvUnit("backbone/conv6_2", s(head_depth), s(head_depth), 3, stride=2, bn=False),
     ])
     stages.append(Stage("conv6", conv6, "conv6_2"))
-    return Backbone(None, stages, attach=(3, 4, 5), l2norm_levels=(0, 1))
+    return Backbone(stages, attach=(3, 4, 5), l2norm_levels=(0, 1))
 
 
 def _resnet18(head_depth, wm):
     s = lambda c: scaled(c, wm)
-    stages = []
+    stages = [_stem7(wm)]
     c_prev = s(64)
     for name, c, stride in [("res2", 64, 1), ("res3", 128, 2), ("res4", 256, 2), ("res5", 512, 2)]:
         blocks = [
@@ -535,7 +525,7 @@ def _resnet18(head_depth, wm):
         stages.append(Stage(name, Sequence(blocks), f"{name}_2"))
         c_prev = s(c)
     stages.append(Stage("res6", BasicResBlock("backbone/res6", c_prev, s(head_depth), 2)))
-    return Backbone(Sequence(_stem7(wm)), stages, attach=(1, 2, 3))
+    return Backbone(stages, attach=(2, 3, 4))
 
 
 def _resnext26(head_depth, wm):
@@ -546,8 +536,7 @@ def _resnext26(head_depth, wm):
         ("resx7", 2048, 2), ("resx8", 2048, 1),
         ("resx9", head_depth, 2),
     ]
-    stages = _chain(ResNeXtBlock, rows, scaled(64, wm), wm)
-    return Backbone(Sequence(_stem7(wm)), stages, attach=(3, 5, 7))
+    return Backbone([_stem7(wm)] + _chain(ResNeXtBlock, rows, scaled(64, wm), wm), attach=(4, 6, 8))
 
 
 def _resnext50(head_depth, wm, se=False):
@@ -557,17 +546,18 @@ def _resnext50(head_depth, wm, se=False):
             name = f"conv{g + 2}_{b}" if se else f"resx{len(rows) + 1}"
             rows.append((name, c, 2 if (b == 1 and g > 0) else 1))
     rows.append(("conv6" if se else "resx17", head_depth, 2))
-    stages = _chain(partial(ResNeXtBlock, se=se), rows, scaled(64, wm), wm)
-    return Backbone(Sequence(_stem7(wm)), stages, attach=(6, 12, 15))
+    stages = [_stem7(wm)] + _chain(partial(ResNeXtBlock, se=se), rows, scaled(64, wm), wm)
+    return Backbone(stages, attach=(7, 13, 16))
 
 
 def _inception_senet(head_depth, wm):
     s = lambda c: scaled(c, wm)
-    stem = Sequence(_stem7(wm) + [
+    stem = _stem7(
+        wm,
         ConvUnit("backbone/conv2_1", s(64), s(64), 1),
         ConvUnit("backbone/conv2_2", s(64), s(192), 3),
         MaxPoolUnit(3, 2, 1),
-    ])
+    )
     rows = [  # ten inception blocks, then the added top block
         ("inception_3a", 256, 1), ("inception_3b", 320, 1), ("inception_3c", 576, 2),
         ("inception_4a", 576, 1), ("inception_4b", 576, 1), ("inception_4c", 608, 1),
@@ -575,11 +565,11 @@ def _inception_senet(head_depth, wm):
         ("inception_5a", 1056, 1), ("inception_5b", 1024, 1),
         ("inception_6", head_depth, 2),
     ]
-    return Backbone(stem, _chain(InceptionSEBlock, rows, s(192), wm), attach=(1, 6, 9))
+    return Backbone([stem] + _chain(InceptionSEBlock, rows, s(192), wm), attach=(2, 7, 10))
 
 
 def _mobilenetv1(head_depth, wm):
-    stem = ConvUnit("backbone/conv1", 3, scaled(32, wm), 3, stride=2)
+    stem = Stage("stem", ConvUnit("backbone/conv1", 3, scaled(32, wm), 3, stride=2))
     rows = [
         ("conv2_1", 64, 1), ("conv2_2", 128, 2),
         ("conv3_1", 128, 1), ("conv3_2", 256, 2),
@@ -589,11 +579,11 @@ def _mobilenetv1(head_depth, wm):
         ("conv6", 1024, 1),
         ("conv7", 512, 2),  # added top block, depthwise-separable like the rest
     ]
-    return Backbone(stem, _chain(DepthwiseSeparable, rows, scaled(32, wm), wm), attach=(4, 10, 12))
+    return Backbone([stem] + _chain(DepthwiseSeparable, rows, scaled(32, wm), wm), attach=(5, 11, 13))
 
 
 def _mobilenetv2(head_depth, wm):
-    stem = ConvUnit("backbone/conv1", 3, scaled(32, wm), 3, stride=2)
+    stem = Stage("stem", ConvUnit("backbone/conv1", 3, scaled(32, wm), 3, stride=2))
     rows = [  # (name, c_out, stride, expansion)
         ("conv2_1", 16, 1, 1),
         ("conv2_2", 24, 2, 6), ("conv2_3", 24, 1, 6),
@@ -603,22 +593,22 @@ def _mobilenetv2(head_depth, wm):
         ("conv6_1", 160, 2, 6), ("conv6_2", 160, 1, 6), ("conv6_3", 160, 1, 6), ("conv6_4", 320, 1, 6),
         ("conv7", 96, 2, 6),  # added top block keeps the family's 96-deep tail
     ]
-    return Backbone(stem, _chain(InvertedResidual, rows, scaled(32, wm), wm), attach=(4, 12, 16))
+    return Backbone([stem] + _chain(InvertedResidual, rows, scaled(32, wm), wm), attach=(5, 13, 17))
 
 
 def _xception(head_depth, wm):
     s = lambda c: scaled(c, wm)
-    stem = Sequence([
+    stem = Stage("stem", Sequence([
         ConvUnit("backbone/conv1", 3, s(32), 3, stride=2),
         ConvUnit("backbone/conv2", s(32), s(64), 3),
-    ])
+    ]))
     rows = [("xception1", 128, 2), ("xception2", 256, 2), ("xception3", 728, 1)]
     rows += [(f"xception{i}", 728, 1) for i in range(4, 12)]
     rows += [("xception12", 1024, 2)]
-    stages = _chain(XceptionBlock, rows, s(64), wm)
+    stages = [stem] + _chain(XceptionBlock, rows, s(64), wm)
     stages += _chain(DepthwiseSeparable, [("conv4_1", 1536, 2), ("conv4_2", 2048, 1)], s(1024), wm)
     stages += _chain(XceptionBlock, [("xception13", head_depth, 2)], s(2048), wm)
-    return Backbone(stem, stages, attach=(10, 11, 13))
+    return Backbone(stages, attach=(11, 12, 14))
 
 
 @dataclass(frozen=True)
@@ -633,7 +623,7 @@ class Family:
 
 
 FAMILIES = {
-    "vgg16": Family(_vgg16, partial(ConvUnit, bias=True, bn=False)),
+    "vgg16": Family(_vgg16, partial(ConvUnit, bn=False)),
     "resnet18": Family(_resnet18, BasicResBlock),
     "resnext26": Family(_resnext26, ResNeXtBlock),
     "resnext50": Family(_resnext50, ResNeXtBlock),

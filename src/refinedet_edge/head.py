@@ -100,15 +100,16 @@ class TCBLevel:
     """One fusion level: project the lateral feature, add the upsampled
     feature from the level above (if any), then smooth.
 
-    out = relu(conv3x3( relu(conv3x3(lateral) [+ deconv(top_down)]) ))
+    out = relu(conv3x3( relu(conv3x3(lateral) [+ deconv(top_down)]) )), the
+    inner relu in place on the sum and the outer one the smoothing unit's.
     """
 
     def __init__(self, name, c_in, depth, has_top_down):
         self.name = name
         self.depth = depth
-        self.lateral = ConvUnit(f"{name}/lateral", c_in, depth, 3, bias=True, bn=False, act="none")
+        self.lateral = ConvUnit(f"{name}/lateral", c_in, depth, 3, bn=False, act="none")
         self.up = DeconvUnit(f"{name}/up", depth, depth) if has_top_down else None
-        self.smooth = ConvUnit(f"{name}/smooth", depth, depth, 3, bias=True, bn=False, act="none")
+        self.smooth = ConvUnit(f"{name}/smooth", depth, depth, 3, bn=False)
 
     def decls(self):
         out = self.lateral.decls()
@@ -129,8 +130,8 @@ class TCBLevel:
             t = T.elementwise_add(t, u)
         elif self.up is not None:
             raise ValueError(f"{self.name} expects a top-down input")
-        t = T.relu(t)
-        return T.relu(self.smooth.forward(t, w))
+        np.maximum(t, 0, out=t)
+        return self.smooth.forward(t, w)
 
 
 # ---------------------------------------------------------------------------
@@ -209,16 +210,14 @@ class DetectionModel:
         self.odm_cls = []
         self.odm_reg = []
         for i, (_, c, _) in enumerate(pyramid):
-            self.arm_cls.append(ConvUnit(f"head/arm_cls{i}", c, 2 * A, 3, bias=True, bn=False, act="none"))
-            self.arm_reg.append(ConvUnit(f"head/arm_reg{i}", c, 4 * A, 3, bias=True, bn=False, act="none"))
+            self.arm_cls.append(ConvUnit(f"head/arm_cls{i}", c, 2 * A, 3, bn=False, act="none"))
+            self.arm_reg.append(ConvUnit(f"head/arm_reg{i}", c, 4 * A, 3, bn=False, act="none"))
             self.intermediates.append(
                 intermediate_block(spec.backbone, f"head/interm{i}", c, interm_depth)
             )
             self.tcb.append(TCBLevel(f"head/tcb{i}", interm_depth, depth, has_top_down=i < 3))
-            self.odm_cls.append(
-                ConvUnit(f"head/odm_cls{i}", depth, (C + 1) * A, 3, bias=True, bn=False, act="none")
-            )
-            self.odm_reg.append(ConvUnit(f"head/odm_reg{i}", depth, 4 * A, 3, bias=True, bn=False, act="none"))
+            self.odm_cls.append(ConvUnit(f"head/odm_cls{i}", depth, (C + 1) * A, 3, bn=False, act="none"))
+            self.odm_reg.append(ConvUnit(f"head/odm_reg{i}", depth, 4 * A, 3, bn=False, act="none"))
 
         self.weights = None
         self.notes = self._build_notes()
@@ -315,10 +314,9 @@ class DetectionModel:
 
         with pp.span(timer, "tcb"):
             laterals = [blk.forward(f, wb) for blk, f in zip(self.intermediates, feats)]
-            fused = [None] * 4
-            fused[3] = self.tcb[3].fuse(laterals[3], None, wb)
-            for i in (2, 1, 0):
-                fused[i] = self.tcb[i].fuse(laterals[i], fused[i + 1], wb)
+            fused, top_down = [None] * 4, None
+            for i in (3, 2, 1, 0):  # each level fuses the one above it
+                fused[i] = top_down = self.tcb[i].fuse(laterals[i], top_down, wb)
 
         with pp.span(timer, "odm_head"):
             cls = [flatten_predictions(u.forward(f, wb), A, self.spec.num_classes + 1)

@@ -14,6 +14,7 @@ probability matrix: the pipeline hands that matrix to suppression as it is
 `DetectionSet` row per candidate.
 """
 
+import numbers
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 
@@ -34,10 +35,12 @@ class NmsParams:
     conf_thresh: float = 0.1
 
     def __post_init__(self):
-        if self.max_input < 1:
-            raise ValueError(f"max_input must be >= 1, got {self.max_input}")
-        if self.max_output < 1:
-            raise ValueError(f"max_output must be >= 1, got {self.max_output}")
+        for name in ("max_input", "max_output"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value}")
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
         if not (0.0 <= self.conf_thresh < 1.0):
             raise ValueError(f"conf_thresh must be in [0, 1), got {self.conf_thresh}")
 
@@ -472,8 +475,9 @@ def pipeline(arm_obj_logits, arm_deltas, odm_cls_logits, odm_deltas, anchors,
     anchor rows, so outputs stay traceable to their priors.
 
     Objectness must be (anchors, 2), class logits (anchors, >= 2) and both
-    delta arrays (anchors, 4); another shape, or objectness or class logits
-    holding NaN or inf, raise ValueError.
+    delta arrays (anchors, 4); another shape, objectness or class logits
+    holding NaN or inf, or a refined prior whose width or height is not
+    finite and positive, raise ValueError.
     """
     arm_obj_logits = np.asarray(arm_obj_logits)
     if arm_obj_logits.ndim != 2 or arm_obj_logits.shape[1] != 2:
@@ -504,7 +508,14 @@ def pipeline(arm_obj_logits, arm_deltas, odm_cls_logits, odm_deltas, anchors,
         kept = arm_filter(obj[:, 0], neg_thresh)
 
     with span(timer, "decode"):
-        refined = apply_deltas(anchors[kept], arm_deltas[kept])
+        with np.errstate(over="ignore"):  # an overflow is refused below
+            refined = apply_deltas(anchors[kept], arm_deltas[kept])
+        sizes = refined[:, 2:]
+        bad = np.flatnonzero(~(np.isfinite(sizes) & (sizes > 0)).all(axis=1))
+        if len(bad):
+            a = int(kept[bad[0]])
+            raise ValueError(f"anchor {a}: ARM size deltas {arm_deltas[a, 2:]} refine its prior "
+                             f"to size {sizes[bad[0]]}, which is not finite and positive")
         boxes = decode(refined, odm_deltas[kept], image_size=image_size)
 
     with span(timer, "nms"):

@@ -20,10 +20,8 @@ batch-norm folded into them that way (blocks.ConvUnit).
   the K-sum, so results agree with the oracles to rounding, do not depend
   on the chunk size, and repeat exactly.
 
-`batch_norm_inference` is the unfolded formula as a standalone kernel;
-layers fold batch-norm into `conv2d` instead.  It runs its float64 steps in
-place on channel blocks of the same size, in the order of the formula, so
-it is bit-identical to the whole-map expression by construction.
+`batch_norm_inference` is the unfolded formula over the whole map in
+float64, the reference for the batch-norm that layers fold into `conv2d`.
 `deconv2d` is one GEMM for all taps followed by a scatter-add per tap.
 """
 
@@ -104,7 +102,7 @@ def conv2d(x, weights, bias, params):
         )
     if bias is not None:
         bias = np.asarray(bias)
-        if bias.size and bias.shape != (c_out,):
+        if bias.shape != (c_out,):
             raise ValueError(f"bias must have shape ({c_out},), got {bias.shape}")
 
     s, p = params.stride, params.padding
@@ -115,7 +113,7 @@ def conv2d(x, weights, bias, params):
     if ow < 1:
         raise ValueError(f"kernel width {kw} exceeds padded input width {w + 2 * p}")
 
-    b64 = bias.astype(np.float64, copy=False) if bias is not None and bias.size else None
+    b64 = None if bias is None else bias.astype(np.float64, copy=False)
     w64 = weights.astype(np.float64, copy=False)
     out = np.empty((n, c_out, oh, ow), dtype=np.float32)
     if g == c_in == c_out:
@@ -125,10 +123,10 @@ def conv2d(x, weights, bias, params):
     return out
 
 
-# Float64 values in one channel block of the depthwise and batch-norm
-# kernels.  The accumulator, its one temporary (256 KiB each) and the padded
-# input block (s*s times that at stride s) stay in L2 cache.  A block never
-# splits a channel, so a plane larger than this is one block of its own.
+# Float64 values in one channel block of the depthwise kernel.  The
+# accumulator, its one temporary (256 KiB each) and the padded input block
+# (s*s times that at stride s) stay in L2 cache.  A block never splits a
+# channel, so a plane larger than this is one block of its own.
 CHANNEL_BLOCK = 2**15
 
 # Float64 values in the im2col buffer of the dense kernel (2 MiB), and in its
@@ -315,27 +313,9 @@ def batch_norm_inference(x, mean, var, gamma, beta):
     if np.any(vecs["var"] < 0):
         bad = int(np.argmax(vecs["var"] < 0))
         raise ValueError(f"variance must be non-negative, got {float(vecs['var'][bad])} at channel {bad}")
-    m = vecs["mean"].astype(np.float64)
-    den = np.sqrt(vecs["var"].astype(np.float64) + BN_EPS)
-    g = vecs["gamma"].astype(np.float64)
-    b = vecs["beta"].astype(np.float64)
-    # gamma * (x - mean) / sqrt(var + BN_EPS) + beta, step by step in place on
-    # channel blocks: the same float64 operations in the same order as on
-    # the whole map, so the result is bit-identical to that form
-    n, _, h, w = x.shape
-    cb = min(c, max(1, CHANNEL_BLOCK // (h * w)))
-    buf = np.empty((cb, h, w))
-    out = np.empty(x.shape, dtype=np.float32)
-    for i in range(n):
-        for c0 in range(0, c, cb):
-            c1 = min(c0 + cb, c)
-            y = buf[: c1 - c0]
-            np.subtract(x[i, c0:c1], m[c0:c1, None, None], out=y)
-            np.multiply(g[c0:c1, None, None], y, out=y)
-            y /= den[c0:c1, None, None]
-            y += b[c0:c1, None, None]
-            out[i, c0:c1] = y
-    return out
+    m, v, g, b = (vecs[k].astype(np.float64)[None, :, None, None]
+                  for k in ("mean", "var", "gamma", "beta"))
+    return (g * (x - m) / np.sqrt(v + BN_EPS) + b).astype(np.float32)
 
 
 def max_pool(x, window, stride, padding=0):

@@ -92,3 +92,30 @@ def test_verdict_unresolved_when_the_parent_spreads_wider_than_the_bound():
     assert verdict_of("lower", base, [49.0] * 7 + [49.5]) == "within_bound"
     # a median worse by more than the bound is still a regression
     assert verdict_of("lower", base, [80.0] * 8) == "regression"
+
+
+CPU_LINE = ("# cpu time: setup_s 0.0085, latency_ms_p50 75.01, requests_per_s 13.3333, "
+            "reference_ms 17.300 (not scaled to the reference speed)")
+
+
+def test_cpu_figures_read_the_unscaled_line():
+    lines = ["# check: 40 requests", CPU_LINE,
+             "# wall clock: setup_s 0.0090, latency_ms_p50 80.00, requests_per_s 12.5000 (not scaled)",
+             '{"correct": true}']
+    assert bench_pair.cpu_figures(lines) == {"cpu_latency_ms_p50": 75.01, "reference_ms": 17.3}
+
+
+def test_cpu_figures_refuse_output_without_the_line():
+    with pytest.raises(ValueError, match="cpu time"):
+        bench_pair.cpu_figures(["# wall clock: setup_s 0.0090, latency_ms_p50 80.00", "{}"])
+
+
+def test_cpu_summary_per_side_without_a_verdict():
+    cpu = lambda p50, ref: {"cpu": {"cpu_latency_ms_p50": p50, "reference_ms": ref}}
+    runs = {"base": [cpu(1.0, 10.0), cpu(3.0, 30.0), cpu(2.0, 20.0)], "change": [cpu(5.0, 7.0)]}
+    assert bench_pair.cpu_summary(runs) == {
+        "base": {"cpu_latency_ms_p50": bench_pair.summary([1.0, 3.0, 2.0]),
+                 "reference_ms": bench_pair.summary([10.0, 30.0, 20.0])},
+        "change": {"cpu_latency_ms_p50": bench_pair.summary([5.0]),
+                   "reference_ms": bench_pair.summary([7.0])},
+    }

@@ -56,14 +56,16 @@ def test_effective_cardinality():
 
 
 def conv_bn_relu_gold(x, bundle, unit):
-    """The unfolded unit in float64: conv oracle, batch-norm formula, relu."""
+    """The unfolded unit in float64: conv oracle (with the bias of a unit
+    without batch-norm), batch-norm formula, relu."""
     n = unit.name
     p = unit.params
-    b = bundle[f"{n}/b"] if unit.bias else None
+    b = None if unit.bn else bundle[f"{n}/b"]
     y = conv2d_gold(x, bundle[f"{n}/w"], b, p.stride, p.padding, groups=p.groups).astype(np.float64)
-    stat = {k: bundle[f"{n}/bn_{k}"].astype(np.float64)[None, :, None, None]
-            for k in ("gamma", "beta", "mean", "var")}
-    y = stat["gamma"] * (y - stat["mean"]) / np.sqrt(stat["var"] + T.BN_EPS) + stat["beta"]
+    if unit.bn:
+        stat = {k: bundle[f"{n}/bn_{k}"].astype(np.float64)[None, :, None, None]
+                for k in ("gamma", "beta", "mean", "var")}
+        y = stat["gamma"] * (y - stat["mean"]) / np.sqrt(stat["var"] + T.BN_EPS) + stat["beta"]
     return np.maximum(y, 0.0) if unit.act == "relu" else y
 
 
@@ -86,10 +88,11 @@ CONV_UNITS = {
 
 
 @pytest.mark.parametrize("act", ["relu", "none"])
-@pytest.mark.parametrize("bias", [False, True], ids=["no_bias", "bias"])
+@pytest.mark.parametrize("bn", [True, False], ids=["no_bias", "bias"])
 @pytest.mark.parametrize("kind", sorted(CONV_UNITS))
-def test_conv_unit_is_conv_bn_relu(kind, bias, act):
-    unit = B.ConvUnit("u", **CONV_UNITS[kind], bias=bias, act=act)
+def test_conv_unit_is_conv_bn_relu(kind, bn, act):
+    # the unit's two forms: folded batch-norm and no bias, or a bias and no batch-norm
+    unit = B.ConvUnit("u", **CONV_UNITS[kind], bn=bn, act=act)
     bundle = bn_unit_bundle(unit, 0)
     x = rand_map((2, unit.c_in, 9, 9), 1)
     got = unit.forward(x, bundle)
@@ -100,7 +103,7 @@ def test_conv_unit_is_conv_bn_relu(kind, bias, act):
 
 
 def test_conv_unit_forward_repeats_and_leaves_weights_alone():
-    unit = B.ConvUnit("u", 3, 5, 3, bias=True)
+    unit = B.ConvUnit("u", 3, 5, 3)
     bundle = bn_unit_bundle(unit, 4)
     before = bundle.digest()
     x = rand_map((1, 3, 8, 8), 5)
@@ -121,7 +124,7 @@ def test_conv_unit_rejects_negative_variance():
 
 def test_conv_unit_bias_no_bn():
     rng = np.random.default_rng(2)
-    unit = B.ConvUnit("u", 4, 2, 1, bias=True, bn=False, act="none")
+    unit = B.ConvUnit("u", 4, 2, 1, bn=False, act="none")
     bundle = fill_bundle(unit.decls(), rng)
     x = rand_map((1, 4, 3, 3), 3)
     got = unit.forward(x, bundle)

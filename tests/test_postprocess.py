@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -464,6 +466,25 @@ def test_nms_params_validation():
     assert pp.NmsParams(400, 200, 0.1).short() == "(400,200,0.1)"
 
 
+@pytest.mark.parametrize("args, message", [
+    ((400.0, 200, 0.1), "max_input must be an integer, got 400.0"),
+    ((400, 2.5, 0.1), "max_output must be an integer, got 2.5"),
+    ((np.float64(10), 10, 0.1), "max_input must be an integer, got 10.0"),
+    (("400", 200, 0.1), "max_input must be an integer, got 400"),
+])
+def test_nms_params_refuses_non_integer_budgets(args, message):
+    # a float budget would fail later, as a slice index in nms_greedy
+    with pytest.raises(ValueError, match=re.escape(message)):
+        pp.NmsParams(*args)
+
+
+def test_nms_params_takes_numpy_integers():
+    params = pp.NmsParams(np.int64(10), np.int32(5), 0.1)
+    dets = pp.DetectionSet(np.array([[0, 0, 1, 1]], np.float32), np.array([0.5], np.float32),
+                           np.array([1], np.int32))
+    assert len(pp.nms_greedy(dets, 0.45, params)) == 1
+
+
 # ---------------------------------------------------------------------------
 # the pipeline
 
@@ -519,6 +540,19 @@ def test_pipeline_rejects_non_finite_logits():
     odm_cls[hot[1], 2] = 0.0
     arm_obj[:5, 1] = np.nan  # background anchors: arm_filter would drop them
     with pytest.raises(ValueError, match="objectness logits have 5 non-finite values"):
+        pp.pipeline(arm_obj, arm_deltas, odm_cls, odm_deltas, anchors,
+                    pp.NmsParams(400, 200, 0.1), image_size=320)
+
+
+@pytest.mark.parametrize("sizes, shown", [((0.0, 5000.0), "inf"), ((-5000.0, 0.0), r"\[ ?0\. ")],
+                         ids=["overflow", "underflow"])
+def test_pipeline_refuses_a_refined_prior_without_a_finite_positive_size(sizes, shown):
+    # exp(0.2 * 5000) overflows to inf, where decode would compute 0 * inf
+    # and return NaN boxes; exp(-1000) underflows to a zero width
+    anchors, arm_obj, arm_deltas, odm_cls, odm_deltas, hot = build_pipeline_case()
+    arm_deltas[hot[1], 2:] = sizes
+    message = rf"anchor {hot[1]}: ARM size deltas \[.*\] refine its prior to size .*{shown}"
+    with pytest.raises(ValueError, match=message):
         pp.pipeline(arm_obj, arm_deltas, odm_cls, odm_deltas, anchors,
                     pp.NmsParams(400, 200, 0.1), image_size=320)
 

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -114,6 +115,16 @@ def test_conv2d_rejects_bad_shapes():
         T.conv2d(x, np.zeros((2, 4, 7, 1), np.float32), None, T.ConvParams((7, 1)))
     with pytest.raises(ValueError, match="does not match params.kernel"):
         T.conv2d(x, np.zeros((2, 4, 3, 3), np.float32), None, T.ConvParams(1))
+
+
+@pytest.mark.parametrize("shape", [(0,), (0, 3), (3, 1), (2,)], ids=["empty", "empty_2d", "column", "short"])
+@pytest.mark.parametrize("groups", [1, 3], ids=["dense", "depthwise"])
+def test_conv2d_rejects_a_bias_not_of_one_value_per_output_channel(shape, groups):
+    # an empty bias is no "no bias": only None is
+    x = np.zeros((1, 3, 4, 4), np.float32)
+    w = np.zeros((3, 3 // groups, 1, 1), np.float32)
+    with pytest.raises(ValueError, match=r"bias must have shape \(3,\), got " + re.escape(str(shape))):
+        T.conv2d(x, w, np.zeros(shape, np.float32), T.ConvParams(1, groups=groups))
 
 
 def _depthwise_in_order(x, w, b, s, p):

@@ -15,9 +15,11 @@ id with the ids of its whole tree and of its src/ tree (which stay the same
 when the commit is rebased or amended), every run, and per workload and
 end-to-end metric each side's median and quartiles, how many pairs the
 change won, lost or tied, and a verdict: gain, regression, unresolved or
-within_bound (see `verdict`).  Nothing under bench/ is changed or imported:
-the metric names, units, directions and bounds come from the change's
-BENCHMARK.json.
+within_bound (see `verdict`).  Each run also keeps the unscaled figures of
+bench/run.py's `# cpu time:` line, the worker's CPU p50 and the reference
+kernel's time, and each workload each side's median and quartiles of both,
+with no verdict.  Nothing under bench/ is changed or imported: the metric
+names, units, directions and bounds come from the change's BENCHMARK.json.
 """
 
 import argparse
@@ -51,6 +53,26 @@ def extract(rev, dest):
             "src_tree": git("rev-parse", f"{sha}:src")}
 
 
+CPU_LINE = "# cpu time: "
+CPU_FIGURES = {"cpu_latency_ms_p50": "latency_ms_p50", "reference_ms": "reference_ms"}  # record key: field of the line
+
+
+def cpu_figures(lines):
+    """The CPU_FIGURES of bench/run.py's unscaled `# cpu time: setup_s S,
+    latency_ms_p50 L, ..., reference_ms R (...)` line among `lines`."""
+    for line in lines:
+        if line.startswith(CPU_LINE):
+            fields = dict(f.split() for f in line[len(CPU_LINE):].split(" (")[0].split(", "))
+            return {key: float(fields[field]) for key, field in CPU_FIGURES.items()}
+    raise ValueError(f"no {CPU_LINE.strip()!r} line in the output")
+
+
+def cpu_summary(runs):
+    """Per side, the median and quartiles of each CPU figure of its runs."""
+    return {side: {key: summary([r["cpu"][key] for r in side_runs]) for key in CPU_FIGURES}
+            for side, side_runs in runs.items()}
+
+
 def run_once(tree, workload, seed, seconds):
     """One bench/run.py run in `tree`; returns its record."""
     t0 = time.monotonic()
@@ -68,7 +90,7 @@ def run_once(tree, workload, seed, seconds):
     return {"seed": seed, "wall_s": round(time.monotonic() - t0, 3),
             "correct": out["correct"], "attempted": out["attempted"], "failed": out["failed"],
             "metrics": {name: m["value"] for name, m in out["metrics"].items()},
-            "environment": json.loads(env) if env else None}
+            "cpu": cpu_figures(lines), "environment": json.loads(env) if env else None}
 
 
 def summary(values):
@@ -153,6 +175,7 @@ def main(argv=None):
                           f"failed={record['failed']}", flush=True)
             result["workloads"][name] = {
                 "metrics": compare(runs["base"], runs["change"], doc["end_to_end"]),
+                "cpu": cpu_summary(runs),
                 "runs": runs,
             }
     path = os.path.join(ROOT, f"BENCH_{args.tag}.json")
