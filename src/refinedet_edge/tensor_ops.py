@@ -14,11 +14,14 @@ batch-norm folded into them that way (blocks.ConvUnit).
   the accumulator stays in cache.  It adds the same exact products in the
   same order as a per-tap loop over the whole map, so its result is
   bit-identical to that loop by construction.
-- dense and grouped: im2col over chunks of output rows into one float64
-  buffer of at most IM2COL_BLOCK values (2 MiB), then one GEMM per chunk,
-  batched over groups, with K = c_in/groups*kh*kw.  BLAS fixes the order of
-  the K-sum, so results agree with the oracles to rounding, do not depend
-  on the chunk size, and repeat exactly.
+- dense and grouped: im2col over chunks of output rows into one reused
+  float64 buffer, then one GEMM per chunk, batched over groups, with
+  K = c_in/groups*kh*kw.  A chunk's columns aim at IM2COL_BUDGET values
+  (512 KiB, so they stay in L2 while the GEMM reads them), but the GEMM gets
+  at least IM2COL_MIN_COLUMNS output cells, and the columns never exceed
+  IM2COL_BLOCK values (2 MiB) unless one output row alone does.  BLAS fixes
+  the order of the K-sum, so results agree with the oracles to rounding, do
+  not depend on the chunk size, and repeat exactly.
 
 `batch_norm_inference` is the unfolded formula over the whole map in
 float64, the reference for the batch-norm that layers fold into `conv2d`.
@@ -129,10 +132,20 @@ def conv2d(x, weights, bias, params):
 # channel, so a plane larger than this is one block of its own.
 CHANNEL_BLOCK = 2**15
 
-# Float64 values in the im2col buffer of the dense kernel (2 MiB), and in its
-# GEMM result.  Unchunked columns cost c_in/g*kh*kw values per output cell:
-# they raised the peak RSS of forward passes of thin vgg16-320 from 46 to
-# 76 MiB.
+# Chunk sizes of the dense kernel, in float64 values of its im2col buffer
+# (K = c_in/g*kh*kw per output cell, summed over groups) or of its GEMM
+# result (c_out per cell), whichever is wider.
+# - IM2COL_BUDGET (512 KiB) is the target: the columns stay in a 2 MiB L2
+#   while the GEMM reads them.  At 2 MiB the thin layers (K = 27-288) were
+#   memory-bound: on one thread of an AVX-512 Xeon, (4x27)@(27x102400) ran at
+#   4.5 GMAC/s, and at 18.4 GMAC/s with 2 427 columns.
+# - IM2COL_MIN_COLUMNS is the floor in output cells: a wide K gets at least
+#   that many GEMM columns, so the per-call cost of a GEMM stays amortized.
+# - IM2COL_BLOCK (2 MiB) is the cap, even against the floor.  Unchunked
+#   columns raised the peak RSS of forward passes of thin vgg16-320 from 46
+#   to 76 MiB.
+IM2COL_BUDGET = 2**16
+IM2COL_MIN_COLUMNS = 256
 IM2COL_BLOCK = 2**18
 
 
@@ -185,7 +198,12 @@ def _dense(x, w64, b64, s, p, g, out):
     cell of the chunk.
     """
     n, c_out, oh, ow = out.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
+    if p:
+        c, h, w = x.shape[1:]
+        xp = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=np.float32)
+        xp[:, :, p : p + h, p : p + w] = x
+    else:
+        xp = x
     cg, kh, kw = w64.shape[1:]
     k = cg * kh * kw
     wg = w64.reshape(g, c_out // g, k)
@@ -193,7 +211,9 @@ def _dense(x, w64, b64, s, p, g, out):
     windows = np.lib.stride_tricks.as_strided(
         xp, (n, g, cg, kh, kw, oh, ow), (sn, sc * cg, sc, sy, sx, sy * s, sx * s), writeable=False)
     windows = windows.transpose(1, 2, 3, 4, 0, 5, 6)
-    rows = min(oh, max(1, IM2COL_BLOCK // (n * ow * max(g * k, c_out))))
+    width, row = max(g * k, c_out), n * ow  # float64 values per GEMM column; columns per output row
+    rows = max(IM2COL_BUDGET // (width * row), -(-IM2COL_MIN_COLUMNS // row))
+    rows = max(1, min(oh, rows, IM2COL_BLOCK // (width * row)))
     cols = np.empty(g * k * n * rows * ow)
     res = np.empty(c_out * n * rows * ow)
     for r0 in range(0, oh, rows):
@@ -334,8 +354,11 @@ def max_pool(x, window, stride, padding=0):
         raise ValueError(f"padding {padding} must be smaller than the window {(kh, kw)}")
     oh = (ph - kh) // stride + 1
     ow = (pw - kw) // stride + 1
-    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)),
-                constant_values=np.float32(-np.inf))
+    if padding:
+        xp = np.full((n, c, ph, pw), -np.inf, dtype=np.float32)
+        xp[:, :, padding : padding + h, padding : padding + w] = x
+    else:
+        xp = x
     out = np.full((n, c, oh, ow), -np.inf, dtype=np.float32)
     for i in range(kh):
         for j in range(kw):
@@ -354,9 +377,12 @@ def param_count(c_in, c_out, params, bias=False, bn=False):
     """Weight-tensor element count of one convolution layer.
 
     Counts c_out * (c_in/groups) * kh * kw kernel weights, plus c_out bias
-    terms and 2*c_out batch-norm affine terms when enabled.  Running
-    statistics are not parameters and are never counted.
+    terms or 2*c_out batch-norm affine terms.  A layer has one or the other
+    (blocks.ConvUnit), never both.  Running statistics are not parameters
+    and are never counted.
     """
+    if bias and bn:
+        raise ValueError("a batch-norm layer has no bias: batch-norm folds it into its shift (beta)")
     g = params.groups
     if c_in % g != 0:
         raise ValueError(f"groups={g} does not divide input channels {c_in}")

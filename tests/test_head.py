@@ -1,4 +1,6 @@
 import hashlib
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -278,6 +280,59 @@ def test_model_forward_bytes_are_pinned(kind, head_depth, width):
     for arr in (out.arm_obj, out.arm_deltas, out.odm_cls, out.odm_deltas):
         h.update(arr.tobytes())
     assert h.hexdigest() == FORWARD_DIGESTS[kind, head_depth, width]
+
+
+def _workload_models():
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return {(c["backbone"], c["head_depth"], c["width_multiplier"])
+            for c in (w.config for w in module.WORKLOADS.values()) if c}
+
+
+@pytest.mark.parametrize("kind, head_depth, width", sorted(set(FORWARD_DIGESTS) | _workload_models()))
+def test_im2col_chunks_fit_the_cache_at_every_dense_shape(kind, head_depth, width, monkeypatch):
+    # every dense conv2d of a pinned or benchmarked model: each chunk's
+    # columns and GEMM result stay under the cap; the GEMM gets at least
+    # min(IM2COL_MIN_COLUMNS, oh*ow) columns, or as many whole output rows as
+    # the cap admits (20 columns for full mobilenetv1's 3x3 heads on 1024
+    # channels); and a chunk over the budget is the fewest whole rows that
+    # reach the floor
+    spec = ModelSpec(backbone=kind, head_depth=head_depth, width_multiplier=width, num_classes=80)
+    model = H.assemble_model(spec)
+    model.bind(W.WeightBundle([(d.name, np.zeros(d.shape, np.float32)) for d in model.weight_manifest()]))
+    convs = []  # (weights shape, groups, output shape, GEMM columns of each chunk)
+    conv2d, matmul = T.conv2d, np.matmul
+
+    def recording_conv2d(x, weights, bias, params):
+        convs.append([weights.shape, params.groups, None, []])
+        out = conv2d(x, weights, bias, params)
+        convs[-1][2] = out.shape
+        return out
+
+    def recording_matmul(a, b, out):
+        convs[-1][3].append(b.shape[-1])
+        return matmul(a, b, out=out)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(T, "conv2d", recording_conv2d)
+        patch.setattr(np, "matmul", recording_matmul)
+        model.forward(np.zeros((1, 3, 320, 320), np.float32))
+    dense = 0
+    for (c_out, cg, kh, kw), g, (n, _, oh, ow), columns in convs:
+        if g == c_out == cg * g:  # depthwise: no GEMM
+            assert not columns
+            continue
+        dense += 1
+        width, row = max(g * cg * kh * kw, c_out), n * ow
+        floor = min(T.IM2COL_MIN_COLUMNS, n * oh * ow, row * (T.IM2COL_BLOCK // (width * row)))
+        first = columns[0]
+        assert sum(columns) == n * oh * ow and set(columns[:-1]) <= {first} and columns[-1] <= first
+        assert width * first <= T.IM2COL_BLOCK
+        assert first >= floor
+        assert width * first <= T.IM2COL_BUDGET or first - row < T.IM2COL_MIN_COLUMNS
+    assert dense
 
 
 def test_model_param_count_is_trainable_sum():

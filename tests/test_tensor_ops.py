@@ -194,8 +194,23 @@ def test_conv2d_im2col_chunks_match_gold(n, c_in, c_out, h, w, k, s, p, g, rows,
     whole = T.conv2d(x, wt, b, params)
     oh, ow = whole.shape[2:]
     assert oh % 2 == 1
-    monkeypatch.setattr(T, "IM2COL_BLOCK", rows * n * ow * max(c_in * k * k, c_out))
-    got = T.conv2d(x, wt, b, params)
+    # budget and cap both at `rows` rows, and a floor of one column
+    chunk = rows * n * ow * max(c_in * k * k, c_out)
+    monkeypatch.setattr(T, "IM2COL_BUDGET", chunk)
+    monkeypatch.setattr(T, "IM2COL_BLOCK", chunk)
+    monkeypatch.setattr(T, "IM2COL_MIN_COLUMNS", 1)
+    gemm_columns = []
+    matmul = np.matmul
+
+    def counting_matmul(a, b, out):
+        gemm_columns.append(b.shape[-1])
+        return matmul(a, b, out=out)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "matmul", counting_matmul)
+        got = T.conv2d(x, wt, b, params)
+    assert len(gemm_columns) == -(-oh // rows)
+    assert gemm_columns[0] == rows * n * ow and sum(gemm_columns) == n * oh * ow
     np.testing.assert_allclose(got, conv2d_gold(x, wt, b, s, p, groups=g), rtol=RTOL, atol=ATOL)
     assert np.array_equal(got, whole)  # the chunk size never changes a sum
 
@@ -408,6 +423,9 @@ def test_param_count_hand_cases():
     assert T.param_count(128, 256, T.ConvParams(3, groups=32)) == 256 * 4 * 9
     with pytest.raises(ValueError):
         T.param_count(10, 4, T.ConvParams(1, groups=4))
+    # a batch-norm layer folds its bias into the shift: there is no layer with both
+    with pytest.raises(ValueError, match="batch-norm folds it into its shift"):
+        T.param_count(16, 32, T.ConvParams(3), bias=True, bn=True)
 
 
 def test_conv_params_validation():
