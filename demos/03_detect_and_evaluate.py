@@ -28,7 +28,7 @@ spec = C.ModelSpec(name="demo-320", backbone="mobilenetv1", input_size=320,
                    head_depth=128, width_multiplier=0.0625, num_classes=4, seed=5)
 model = build_model(spec)
 print(f"model {spec.name}: {model.param_count():,} parameters, "
-      f"{len(model.anchors)} anchors over strides {spec.anchor_strides}")
+      f"{len(model.anchors)} anchors over strides {model.anchors.strides}")
 
 image = rng.random((1, 3, 320, 320), dtype=np.float32)
 timer = StageTimer()

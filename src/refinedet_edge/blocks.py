@@ -28,6 +28,9 @@ from .weights import TensorDecl
 CARDINALITY = 32
 SE_REDUCTION = 16
 
+# The strides of the four pyramid levels every backbone emits.
+PYRAMID_STRIDES = (8, 16, 32, 64)
+
 
 def scaled(c, width_multiplier):
     """Realized channel count under a width multiplier (never below 1)."""

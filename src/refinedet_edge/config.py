@@ -4,8 +4,8 @@ experiment table.
 Configs are `key = value` lines with `#` comments; the first key must be
 format_version.  The other keys are ModelSpec's field names, in field order,
 with the NMS triple written as nms_max_input, nms_max_output and
-nms_conf_thresh.  Tuple values are comma-separated with no empty element; an
-empty value is the empty tuple (for anchor_scales: 4 x each stride).
+nms_conf_thresh; every value is one string, integer or number.  The anchor
+grid is not configured: it follows the backbone's pyramid strides.
 parse -> serialize -> parse is the identity, and serialize emits that
 canonical key order with exact float round-trips.
 """
@@ -16,7 +16,7 @@ import math
 import os
 import re
 
-from .blocks import BACKBONE_NAMES
+from .blocks import BACKBONE_NAMES, PYRAMID_STRIDES
 from .postprocess import CAP_SCOPES, DEFAULT_IOU_THRESH, DEFAULT_NEG_THRESH, NmsParams
 
 log = logging.getLogger(__name__)
@@ -40,9 +40,6 @@ class ModelSpec:
     head_depth: int = 256
     num_classes: int = 80
     width_multiplier: float = 1.0
-    anchor_strides: tuple[int, ...] = (8, 16, 32, 64)
-    anchor_scales: tuple[float, ...] = ()
-    anchor_ratios: tuple[float, ...] = (0.5, 1.0, 2.0)
     nms: NmsParams = NmsParams()
     nms_iou_thresh: float = DEFAULT_IOU_THRESH
     nms_cap_scope: str = "per_class"
@@ -51,18 +48,11 @@ class ModelSpec:
     seed: int = 0
 
     def __post_init__(self):
-        set_ = lambda k, v: object.__setattr__(self, k, v)
         if not isinstance(self.nms, NmsParams):
-            set_("nms", NmsParams(*self.nms))
-        set_("anchor_strides", tuple(int(s) for s in self.anchor_strides))
-        set_("anchor_ratios", tuple(float(r) for r in self.anchor_ratios))
-        scales = tuple(float(s) for s in self.anchor_scales)
-        if not scales:
-            scales = tuple(4.0 * s for s in self.anchor_strides)
-        set_("anchor_scales", scales)
-        for key in ("width_multiplier", "anchor_scales", "anchor_ratios", "weight_init_sigma"):
+            object.__setattr__(self, "nms", NmsParams(*self.nms))
+        for key in ("width_multiplier", "weight_init_sigma"):
             val = getattr(self, key)
-            if not all(math.isfinite(v) for v in (val if isinstance(val, tuple) else (val,))):
+            if not math.isfinite(val):
                 raise ValueError(f"{key} must be finite, got {val}")
 
         if not self.name or self.name != self.name.strip() or "\n" in self.name or "#" in self.name:
@@ -75,28 +65,12 @@ class ModelSpec:
             raise ValueError(f"head_depth must be one of {LEGAL_HEAD_DEPTHS}, got {self.head_depth}")
         if self.input_size < 1:
             raise ValueError(f"input_size must be >= 1, got {self.input_size}")
+        if self.input_size % PYRAMID_STRIDES[-1] != 0:
+            raise ValueError(f"input_size {self.input_size} is not divisible by stride {PYRAMID_STRIDES[-1]}")
         if self.num_classes < 1:
             raise ValueError(f"num_classes must be >= 1, got {self.num_classes}")
         if not self.width_multiplier > 0:
             raise ValueError(f"width_multiplier must be > 0, got {self.width_multiplier}")
-        if len(self.anchor_strides) != 4:
-            raise ValueError(f"anchor_strides needs exactly 4 levels, got {len(self.anchor_strides)}")
-        for a, b in zip(self.anchor_strides, self.anchor_strides[1:]):
-            if b != 2 * a:
-                raise ValueError(f"anchor_strides must double per level, got {self.anchor_strides}")
-        for s in self.anchor_strides:
-            if s < 1:
-                raise ValueError(f"anchor_strides must be positive, got {self.anchor_strides}")
-            if self.input_size % s != 0:
-                raise ValueError(f"input_size {self.input_size} is not divisible by stride {s}")
-        if len(self.anchor_scales) != len(self.anchor_strides):
-            raise ValueError(
-                f"got {len(self.anchor_scales)} anchor_scales for {len(self.anchor_strides)} strides"
-            )
-        if any(s <= 0 for s in self.anchor_scales):
-            raise ValueError(f"anchor_scales must be positive, got {self.anchor_scales}")
-        if not self.anchor_ratios or any(r <= 0 for r in self.anchor_ratios):
-            raise ValueError(f"anchor_ratios must be positive and non-empty, got {self.anchor_ratios}")
         if not (0.0 <= self.nms_iou_thresh < 1.0):
             raise ValueError(f"nms_iou_thresh must be in [0, 1), got {self.nms_iou_thresh}")
         if self.nms_cap_scope not in CAP_SCOPES:
@@ -126,24 +100,19 @@ def _key_table():
 
 
 _KEYS = _key_table()
-_NOUNS = {int: ("an integer", "integers"), float: ("a number", "numbers")}
+_NOUNS = {int: "an integer", float: "a number"}
 
 
 def _convert(key, typ, val, where):
-    """One value from its text; a tuple type reads comma-separated elements,
-    none of them empty, and an empty value as ()."""
+    """One str, int or float value from its text."""
     if typ is str:
         if not val:
             raise ConfigError(f"{where}: {key} must not be empty")
         return val
-    elem = typ.__args__[0] if typ not in _NOUNS else None
     try:
-        if elem is None:
-            return typ(val)
-        return tuple(elem(v) for v in val.split(",")) if val else ()
+        return typ(val)
     except ValueError:
-        what = _NOUNS[typ][0] if elem is None else f"comma-separated {_NOUNS[elem][1]}"
-        raise ConfigError(f"{where}: {key} expects {what}, got {val!r}") from None
+        raise ConfigError(f"{where}: {key} expects {_NOUNS[typ]}, got {val!r}") from None
 
 
 def parse(text, strict=True, source="<config>"):
@@ -216,7 +185,7 @@ def serialize(spec):
         val = getattr(spec, name)
         val = val if sub is None else getattr(val, sub)
         # str of a float is its shortest round-trip form, also for numpy scalars
-        lines.append(f"{key} = {','.join(map(str, val)) if isinstance(val, tuple) else val}")
+        lines.append(f"{key} = {val}")
     return "\n".join(lines) + "\n"
 
 

@@ -102,8 +102,7 @@ def _ap_from_matches(tp, n_gt):
     precision = ctp / (ctp + cfp)
     mrec = np.concatenate(([0.0], recall, [recall[-1]]))
     mpre = np.concatenate(([0.0], precision, [0.0]))
-    for i in range(len(mpre) - 2, -1, -1):
-        mpre[i] = max(mpre[i], mpre[i + 1])
+    mpre = np.maximum.accumulate(mpre[::-1])[::-1]  # the envelope: best precision to the right
     steps = np.flatnonzero(np.diff(mrec) > 0)
     return float(np.sum((mrec[steps + 1] - mrec[steps]) * mpre[steps + 1]))
 

@@ -15,6 +15,7 @@ from . import tensor_ops as T
 from .blocks import (
     CARDINALITY,
     FAMILIES,
+    PYRAMID_STRIDES,
     ConvUnit,
     DeconvUnit,
     L2NormUnit,
@@ -50,7 +51,7 @@ class AnchorGrid:
         return self.boxes.shape[0]
 
 
-def generate_anchors(input_size, strides=(8, 16, 32, 64), scales=None, ratios=(0.5, 1.0, 2.0)):
+def generate_anchors(input_size, strides=PYRAMID_STRIDES, scales=None, ratios=(0.5, 1.0, 2.0)):
     """Build the anchor grid.  Default scale per level is 4 * stride.
 
     Regenerating with identical arguments yields a bit-identical grid.
@@ -63,7 +64,7 @@ def generate_anchors(input_size, strides=(8, 16, 32, 64), scales=None, ratios=(0
         raise ValueError("need at least one aspect ratio")
     if any(r <= 0 for r in ratios):
         raise ValueError(f"aspect ratios must be positive, got {ratios}")
-    if scales is None or len(tuple(scales)) == 0:
+    if scales is None:
         scales = tuple(4 * s for s in strides)
     scales = tuple(float(s) for s in scales)
     if len(scales) != len(strides):
@@ -178,25 +179,16 @@ class DetectionModel:
             raise TypeError(f"expected a ModelSpec, got {type(spec).__name__}")
         self.spec = spec
         wm = spec.width_multiplier
-        self.anchors = generate_anchors(
-            spec.input_size, spec.anchor_strides, spec.anchor_scales, spec.anchor_ratios
-        )
         self.backbone = build_backbone(spec.backbone, spec.head_depth, wm)
-
         pyramid = self.backbone.pyramid()
-        feat_strides = tuple(stride for _, _, stride in pyramid)
-        if feat_strides != tuple(spec.anchor_strides):
-            raise ValueError(
-                f"anchor strides {tuple(spec.anchor_strides)} do not match "
-                f"backbone feature strides {feat_strides}"
-            )
+        self.anchors = generate_anchors(spec.input_size, [stride for _, _, stride in pyramid])
 
         depth = scaled(spec.head_depth, wm)
         interm_depth = scaled(FAMILIES[spec.backbone].intermediate_depth or spec.head_depth, wm)
         self.tcb_depth_realized = depth
         self.interm_depth_realized = interm_depth
 
-        A = len(spec.anchor_ratios)
+        A = len(self.anchors.ratios)
         C = spec.num_classes
         self.l2norms = {}
         for lvl in self.backbone.l2norm_levels:
@@ -299,7 +291,7 @@ class DetectionModel:
             bad = int(np.count_nonzero(~np.isfinite(x)))
             raise ValueError(f"input image has {bad} non-finite values (NaN or inf) of {x.size}")
         wb = self.weights
-        A = len(self.spec.anchor_ratios)
+        A = len(self.anchors.ratios)
 
         with pp.span(timer, "backbone"):
             feats = self.backbone.forward(x, wb)

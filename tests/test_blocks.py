@@ -303,11 +303,14 @@ def test_inception_se_block_forward_shapes():
 
 @pytest.mark.parametrize("kind", B.BACKBONE_NAMES)
 def test_backbone_pyramid_strides(kind):
-    bb = B.build_backbone(kind, head_depth=256, width_multiplier=1.0)
-    pyramid = bb.pyramid()
-    assert [stride for _, _, stride in pyramid] == [8, 16, 32, 64]
-    assert all(c >= 1 for _, c, _ in pyramid)
-    assert set(pyramid) <= set(bb.stage_table())  # rows of the stage table
+    # the anchor grid is laid at these strides, so every build must emit them
+    for head_depth in (128, 256):
+        for wm in (1.0, 0.0625):
+            bb = B.build_backbone(kind, head_depth=head_depth, width_multiplier=wm)
+            pyramid = bb.pyramid()
+            assert tuple(stride for _, _, stride in pyramid) == B.PYRAMID_STRIDES
+            assert all(c >= 1 for _, c, _ in pyramid)
+            assert set(pyramid) <= set(bb.stage_table())  # rows of the stage table
 
 
 @pytest.mark.parametrize("kind", B.BACKBONE_NAMES)

@@ -30,9 +30,6 @@ def test_parse_minimal():
     # defaults fill the rest
     assert spec.num_classes == 80
     assert spec.nms == NmsParams(400, 200, 0.1)
-    assert spec.anchor_strides == (8, 16, 32, 64)
-    assert spec.anchor_scales == (32.0, 64.0, 128.0, 256.0)
-    assert spec.anchor_ratios == (0.5, 1.0, 2.0)
     assert spec.nms_iou_thresh == 0.45
     assert spec.arm_neg_thresh == 0.99
     assert spec.weight_init_sigma == 0.01
@@ -81,32 +78,22 @@ def test_unknown_key_strict_vs_lenient(caplog):
     assert any("frobnication_level" in rec.message for rec in caplog.records)
 
 
-def test_tuple_keys():
-    text = ("format_version = 1\nanchor_strides = 8,16,32,64\n"
-            "anchor_ratios = 0.5,1.0,2.0\nanchor_scales = 32,64,128,256\n")
-    spec = C.parse(text)
-    assert spec.anchor_strides == (8, 16, 32, 64)
-    assert spec.anchor_scales == (32.0, 64.0, 128.0, 256.0)
-
-
-@pytest.mark.parametrize("line, what", [
-    ("anchor_strides = 8,,16,32,64", "integers"),
-    ("anchor_strides = 8,16,32,64,", "integers"),
-    ("anchor_strides = 8, ,16,32", "integers"),
-    ("anchor_ratios = ,0.5,1.0", "numbers"),
-    ("anchor_scales = 32,64,,128,256", "numbers"),
+@pytest.mark.parametrize("line", [
+    "anchor_strides = 8,16,32,64",
+    "anchor_scales = 32,64,128,256",
+    "anchor_ratios = 0.5,1.0,2.0",
 ])
-def test_empty_list_element_rejected(line, what):
-    # dropping the empty element would let a stray comma change the anchor
-    # geometry without an error
+def test_retired_anchor_keys(line, caplog):
+    # the anchor grid follows the backbone pyramid; configs written when it
+    # was configurable are refused when strict and read without the line otherwise
     key = line.split()[0]
-    with pytest.raises(C.ConfigError, match=f"^cfg:2: {key} expects comma-separated {what}, got"):
-        C.parse(f"format_version = 1\n{line}\n", source="cfg")
-
-
-def test_empty_list_value_is_the_empty_tuple():
-    spec = C.parse("format_version = 1\nanchor_scales =\n")
-    assert spec.anchor_scales == (32.0, 64.0, 128.0, 256.0)  # 4 x each stride
+    text = f"{BASIC}{line}\nseed = 7\n"
+    with pytest.raises(C.ConfigError, match=f"^cfg:6: unknown key '{key}'$"):
+        C.parse(text, source="cfg")
+    with caplog.at_level(logging.WARNING, logger="refinedet_edge.config"):
+        spec = C.parse(text, strict=False, source="cfg")
+    assert spec == C.parse(f"{BASIC}seed = 7\n")
+    assert [rec.getMessage() for rec in caplog.records] == [f"cfg:6: unknown key '{key}' (ignored)"]
 
 
 def test_nms_triple_keys():
@@ -121,25 +108,22 @@ def test_validation_errors_from_values():
         C.parse("format_version = 1\nbackbone = alexnet\n")
     with pytest.raises(C.ConfigError, match="head_depth"):
         C.parse("format_version = 1\nhead_depth = 192\n")
-    with pytest.raises(C.ConfigError, match="doubling|stride"):
-        C.parse("format_version = 1\nanchor_strides = 8,16,32,48\n")
     with pytest.raises(C.ConfigError, match="divisible"):
         C.parse("format_version = 1\ninput_size = 300\n")
+    # a multiple of 32 but not of the top pyramid stride
+    with pytest.raises(C.ConfigError, match="input_size 96 is not divisible by stride 64"):
+        C.parse("format_version = 1\ninput_size = 96\n")
 
 
 @pytest.mark.parametrize("line", [
     "width_multiplier = inf",
     "width_multiplier = nan",
-    "anchor_scales = inf,inf,inf,inf",
-    "anchor_scales = nan,32,64,128",
-    "anchor_ratios = 0.5,inf,2.0",
-    "anchor_ratios = nan",
     "weight_init_sigma = inf",
     "weight_init_sigma = nan",
 ])
 def test_non_finite_values_rejected(line):
     # inf and nan pass the sign checks; unchecked, they overflow channel
-    # counts or give NaN boxes and empty detection lists without an error
+    # counts or give NaN weights and empty detection lists without an error
     with pytest.raises(C.ConfigError, match=f"{line.split()[0]} must be finite"):
         C.parse(f"format_version = 1\n{line}\n")
 
@@ -154,15 +138,17 @@ def test_serialize_parse_identity_on_defaults():
 
 
 def test_serialize_parse_identity_on_odd_floats():
-    spec = C.ModelSpec(width_multiplier=0.3, anchor_ratios=(1 / 3, 1.0, 3.0),
+    spec = C.ModelSpec(width_multiplier=0.3, weight_init_sigma=1 / 3,
                        nms=NmsParams(123, 45, 0.037))
     back = C.parse(C.serialize(spec))
     assert back == spec  # exact: floats serialized via repr
 
 
 # SHA-256 over serialize(ModelSpec()) and serialize of all 50 fixture specs:
-# configs written earlier stay byte-identical
-SERIALIZE_SHA256 = "aba79d320ed6320b07a44a72dccc8cefa7a944ccdb292da23e7ef3e37dbdfd99"
+# configs written earlier stay byte-identical.  When the anchor_* keys were
+# retired this was re-pinned to the hash of the earlier outputs with every
+# anchor_ line removed, so each surviving line is unchanged.
+SERIALIZE_SHA256 = "a35148bbeeeb286136c16704581b342218885a313ad2d76c045363a3f87bef48"
 
 
 def test_serialize_bytes_are_pinned():

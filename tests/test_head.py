@@ -406,11 +406,6 @@ def test_infer_names_the_shape_of_a_wrong_rank_image():
             model.infer(np.zeros(shape, np.float32))
 
 
-def test_model_stride_mismatch_detected():
-    with pytest.raises(ValueError, match="anchor strides"):
-        H.assemble_model(thin_spec(anchor_strides=(4, 8, 16, 32)))
-
-
 def test_model_bind_checks_shapes():
     model = H.assemble_model(thin_spec())
     decls = model.weight_manifest()
