@@ -37,7 +37,8 @@ dets = model.infer(image, timer=timer, counters=counters)
 
 spent = {k: v / 1e6 for k, v in timer.take().items()}
 print(f"stage spans (ms): " + ", ".join(f"{k}={v:.1f}" for k, v in spent.items()))
-print(f"suppression workload: {counters.iou_evals} IoU evaluations, "
+print(f"suppression workload: {counters.scored_rows} of {len(model.anchors)} anchors scored, "
+      f"{counters.iou_evals} IoU evaluations, "
       f"{sum(counters.candidates_per_class.values())} candidates over "
       f"{len(counters.candidates_per_class)} classes")
 print(f"detections kept: {len(dets)}")

@@ -6,23 +6,26 @@ Two desk-size models with opposite cost profiles:
   B: 512-input mobilenetv1, slim 128 heads  light compute, 16 320 anchor rows
 
 Under a small suppression budget (max_input 400, conf 0.1) no candidate
-reaches suppression, and nms is only the scoring of every anchor's classes.
-Raising the budget to (1000, 500, 0.01) floods the suppressor with
-candidates, and the nms share of each model's runtime strictly rises, as the
-acceptance suite checks.  Whether nms becomes the largest stage depends on
-the model.  In one run on a 2-CPU Xeon VM (Python 3.11, numpy 2.4) the nms
-share grew from 11.2% to 31.5% for A, whose backbone stayed the largest
-stage (42% at the large budget), and from 20.5% to 38.1% for B, where nms
-became the largest.  A stayed the faster model under both budgets (12.51 vs
-9.09 fps, then 10.27 vs 7.12 fps).  Suppression stops once max_output boxes
-are kept in the merged ranking, and scoring reads the class probability
-matrix without listing candidates, so the large budget costs A less than a
-third of its runtime.
+reaches suppression, and no anchor is scored either: each anchor's largest
+and smallest class logit bound its largest class probability, and under the
+default init that bound stays below 0.1, so the class softmax and the box
+decode are skipped and nms costs almost nothing.  Raising the budget to
+(1000, 500, 0.01) scores every anchor and floods the suppressor with
+candidates, and the nms share of each model's runtime strictly rises, as
+the acceptance suite checks.  Whether nms becomes the largest stage depends
+on the model.  In one run on a 2-CPU Xeon VM (Python 3.11, numpy 2.4) the
+nms share grew from 0.2% to 34.9% for A, whose backbone stayed the largest
+stage (38% at the large budget), and from 0.1% to 41.4% for B, where nms
+became the largest.  A stayed the faster model under both budgets (17.34 vs
+14.80 fps, then 11.65 vs 8.09 fps).  Suppression stops once max_output
+boxes are kept in the merged ranking, and scoring reads the class
+probability matrix without listing candidates, so the large budget costs A
+about a third of its runtime.
 
 The ranking does not flip under the default seeded init: every class
-probability sits near 1/81, so the small budget passes no candidates at all
-and the large one passes every anchor up to the per-class cap, which binds
-both models alike.  A flip waits on an init that makes the budget a curve
+probability sits near 1/81, so the small budget scores no anchor at all and
+the large one passes every anchor up to the per-class cap, which binds both
+models alike.  A flip waits on an init that makes the budget a curve
 rather than a step (ROADMAP item 1).
 
 Run from the repository root:  python3 demos/04_nms_bottleneck.py

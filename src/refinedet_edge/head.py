@@ -139,16 +139,26 @@ class TCBLevel:
 # prediction flattening
 
 
-def flatten_predictions(x, per_cell, k):
-    """(n, per_cell*k, h, w) conv output -> (n, h*w*per_cell, k) predictions.
+def flatten_predictions(xs, per_cell, k):
+    """(n, per_cell*k, h, w) conv outputs, one per level -> (n, anchors, k).
 
     Channel c = a*k + j holds component j of anchor a, so the flattened row
-    order is row -> col -> anchor, matching the anchor grid layout.
+    order is level -> row -> col -> anchor, matching the anchor grid layout.
+    Each level is copied once, straight into its rows of the result.
     """
-    n, ch, h, w = x.shape
-    if ch != per_cell * k:
-        raise ValueError(f"expected {per_cell * k} channels (= {per_cell} anchors x {k}), got {ch}")
-    return x.reshape(n, per_cell, k, h, w).transpose(0, 3, 4, 1, 2).reshape(n, h * w * per_cell, k)
+    for x in xs:
+        if x.shape[1] != per_cell * k:
+            raise ValueError(f"expected {per_cell * k} channels (= {per_cell} anchors x {k}), "
+                             f"got {x.shape[1]}")
+    n = xs[0].shape[0]
+    out = np.empty((n, sum(x.shape[2] * x.shape[3] for x in xs) * per_cell, k), np.result_type(*xs))
+    row = 0
+    for x in xs:
+        h, w = x.shape[2:]
+        rows = out[:, row : row + h * w * per_cell].reshape(n, h, w, per_cell, k)
+        rows[...] = x.reshape(n, per_cell, k, h, w).transpose(0, 3, 4, 1, 2)
+        row += h * w * per_cell
+    return out
 
 
 @dataclass
@@ -299,10 +309,9 @@ class DetectionModel:
                 feats[lvl] = unit.forward(feats[lvl], wb)
 
         with pp.span(timer, "arm_head"):
-            obj = [flatten_predictions(u.forward(f, wb), A, 2) for u, f in zip(self.arm_cls, feats)]
-            reg = [flatten_predictions(u.forward(f, wb), A, 4) for u, f in zip(self.arm_reg, feats)]
-            arm_obj = np.concatenate(obj, axis=1)
-            arm_deltas = np.concatenate(reg, axis=1)
+            arm_obj = flatten_predictions([u.forward(f, wb) for u, f in zip(self.arm_cls, feats)], A, 2)
+            arm_deltas = flatten_predictions([u.forward(f, wb) for u, f in zip(self.arm_reg, feats)],
+                                             A, 4)
 
         with pp.span(timer, "tcb"):
             laterals = [blk.forward(f, wb) for blk, f in zip(self.intermediates, feats)]
@@ -311,11 +320,10 @@ class DetectionModel:
                 fused[i] = top_down = self.tcb[i].fuse(laterals[i], top_down, wb)
 
         with pp.span(timer, "odm_head"):
-            cls = [flatten_predictions(u.forward(f, wb), A, self.spec.num_classes + 1)
-                   for u, f in zip(self.odm_cls, fused)]
-            reg = [flatten_predictions(u.forward(f, wb), A, 4) for u, f in zip(self.odm_reg, fused)]
-            odm_cls = np.concatenate(cls, axis=1)
-            odm_deltas = np.concatenate(reg, axis=1)
+            odm_cls = flatten_predictions([u.forward(f, wb) for u, f in zip(self.odm_cls, fused)],
+                                          A, self.spec.num_classes + 1)
+            odm_deltas = flatten_predictions([u.forward(f, wb) for u, f in zip(self.odm_reg, fused)],
+                                             A, 4)
 
         if arm_obj.shape[1] != len(self.anchors):
             raise RuntimeError(

@@ -11,7 +11,9 @@ survivors enter each greedy suppression pass, and at most max_output boxes
 leave per image.  A candidate is an (anchor, class) pair of the class
 probability matrix: the pipeline hands that matrix to suppression as it is
 (`ScoreMatrix`), where tests and callers with their own boxes pass a
-`DetectionSet` row per candidate.
+`DetectionSet` row per candidate.  The pipeline scores and decodes only the
+anchors whose largest class probability can reach conf_thresh, found from
+each row's largest and smallest logit (`can_reach`).
 """
 
 import numbers
@@ -103,10 +105,10 @@ class DetectionSet:
 class ScoreMatrix:
     """Suppression candidates read straight from the class probabilities.
 
-    `probs` is the (kept anchors x C) foreground probability matrix, `boxes`
-    the decoded corner box of each kept anchor, and `anchor_ids` each kept
-    anchor's row among all anchors.  Candidate i is flat position i of
-    `probs`: kept anchor i // C, class id i % C + 1.  The flat order is the
+    `probs` is the (scored anchors x C) foreground probability matrix,
+    `boxes` the decoded corner box of each scored anchor, and `anchor_ids`
+    each scored anchor's row among all anchors.  Candidate i is flat position
+    i of `probs`: scored anchor i // C, class id i % C + 1.  The flat order is the
     row-major order in which `np.nonzero` lists the matrix, so a candidate
     ranks, ties and caps as it would in a `DetectionSet` of every pair, while
     boxes and class ids are computed only for the candidates asked for.
@@ -141,7 +143,11 @@ class ScoreMatrix:
 
 @dataclass
 class NmsCounters:
-    """Instrumentation: pairwise IoU evaluations and per-class candidate loads.
+    """Instrumentation: scored anchors, pairwise IoU evaluations and
+    per-class candidate loads.
+
+    `scored_rows` is the number of kept anchors whose class softmax
+    `pipeline` computed: those that `can_reach` conf_thresh.
 
     `iou_evals` is the work of greedy suppression taken one kept box at a
     time, over the members up to and including the max_output-th kept box
@@ -152,9 +158,10 @@ class NmsCounters:
     its tiles; it is not the number of IoUs the tiles evaluate, and
     `iou_matrix` is not called.  `candidates_per_class` maps a class id to
     the members the max_input cap admits to suppression, whether or not
-    the early exit reaches them.  Both add up over calls.
+    the early exit reaches them.  All three add up over calls.
     """
 
+    scored_rows: int = 0
     iou_evals: int = 0
     candidates_per_class: dict = field(default_factory=dict)
 
@@ -189,6 +196,13 @@ def to_corners(cboxes):
 # delta coding
 
 
+def check_finite_deltas(deltas):
+    """Raise ValueError naming the first row of (k, 4) `deltas` with a NaN or inf."""
+    if not np.all(np.isfinite(deltas)):
+        bad = int(np.flatnonzero(~np.isfinite(deltas).all(axis=1))[0])
+        raise ValueError(f"non-finite delta at row {bad}")
+
+
 def apply_deltas(anchors, deltas):
     """Shift/scale center-form priors by regression deltas; stays center-form.
 
@@ -202,9 +216,7 @@ def apply_deltas(anchors, deltas):
     deltas = np.asarray(deltas, dtype=np.float64).reshape(-1, 4)
     if anchors.shape != deltas.shape:
         raise ValueError(f"anchors {anchors.shape} and deltas {deltas.shape} differ")
-    if not np.all(np.isfinite(deltas)):
-        bad = int(np.flatnonzero(~np.isfinite(deltas).all(axis=1))[0])
-        raise ValueError(f"non-finite delta at row {bad}")
+    check_finite_deltas(deltas)
     if np.any(anchors[:, 2:] <= 0):
         bad = int(np.flatnonzero((anchors[:, 2:] <= 0).any(axis=1))[0])
         raise ValueError(f"anchor {bad} has non-positive size {anchors[bad, 2:]}")
@@ -229,10 +241,39 @@ def softmax(logits, axis=-1):
     those of that formula without its two further temporaries.
     """
     z = np.array(logits, dtype=np.float64)
-    z -= z.max(axis=axis, keepdims=True)
+    return _softmax_shifted(z, z.max(axis=axis, keepdims=True), axis)
+
+
+def _softmax_shifted(z, top, axis):
+    """`softmax` of the float64 array `z`, in place, given its max along
+    `axis` (with the axis kept)."""
+    z -= top
     np.exp(z, out=z)
     z /= z.sum(axis=axis, keepdims=True)
     return z.astype(np.float32)
+
+
+# Relative slack on the bound of `can_reach`.  It covers the rounding of a
+# float64 probability to float32 (at most 2**-24 of it) and the float64
+# error of the softmax and of the bound (under 1e-12 of them), so no
+# float32 probability of a dropped row can reach conf_thresh.
+BOUND_SLACK = 2**-20
+
+
+def can_reach(top, low, n_cols, conf_thresh):
+    """Mask of the rows whose largest class probability may reach conf_thresh.
+
+    `top` and `low` are each row's largest and smallest of `n_cols` logits.
+    The largest probability of a row is 1 / (1 + sum of exp(z - top)) over
+    its other n_cols - 1 logits z, and each term is at least
+    exp(low - top), so it is at most 1 / (1 + (n_cols - 1) exp(low - top)),
+    with equality when those logits are all equal.  A row is dropped when
+    that bound, raised by BOUND_SLACK, is below conf_thresh; conf_thresh 0
+    keeps every row.
+    """
+    gap = np.subtract(low, top, dtype=np.float64)
+    bound = 1.0 / (1.0 + (n_cols - 1) * np.exp(gap))
+    return bound * (1.0 + BOUND_SLACK) >= conf_thresh
 
 
 def arm_filter(background_probs, neg_thresh=DEFAULT_NEG_THRESH):
@@ -467,17 +508,21 @@ def pipeline(arm_obj_logits, arm_deltas, odm_cls_logits, odm_deltas, anchors,
     """Single-image post-processing over per-anchor predictions.
 
     Steps: soften objectness and drop confident background anchors; refine
-    surviving priors with the first-stage deltas; decode final boxes from the
-    refined priors; score classes; suppress.  Scoring makes no candidate
-    list: `nms_greedy` reads the (kept anchors x classes) foreground
+    surviving priors with the first-stage deltas; drop the anchors no class
+    of which can reach conf_thresh (`can_reach`, from each row's largest and
+    smallest class logit); decode final boxes from the refined priors of the
+    rest and score their classes; suppress.  Scoring makes no candidate
+    list: `nms_greedy` reads the (scored anchors x classes) foreground
     probability matrix as a `ScoreMatrix`, and boxes and class ids are looked
-    up only for the candidates suppression examines.  Returned indices are
-    anchor rows, so outputs stay traceable to their priors.
+    up only for the candidates suppression examines.  `nms_greedy` is called
+    once, with a matrix of no rows when no anchor is scored.  Returned
+    indices are anchor rows, so outputs stay traceable to their priors.
 
     Objectness must be (anchors, 2), class logits (anchors, >= 2) and both
     delta arrays (anchors, 4); another shape, objectness or class logits
-    holding NaN or inf, or a refined prior whose width or height is not
-    finite and positive, raise ValueError.
+    holding NaN or inf, a kept anchor's final deltas holding NaN or inf, or
+    a refined prior whose width or height is not finite and positive, raise
+    ValueError, whether or not the anchor is scored.
     """
     arm_obj_logits = np.asarray(arm_obj_logits)
     if arm_obj_logits.ndim != 2 or arm_obj_logits.shape[1] != 2:
@@ -498,9 +543,13 @@ def pipeline(arm_obj_logits, arm_deltas, odm_cls_logits, odm_deltas, anchors,
         if deltas.shape != (n_anchors, 4):
             raise ValueError(f"{name} must be ({n_anchors} anchors, 4), got {deltas.shape}")
     # A NaN objectness fails every arm_filter test and would return no boxes.
-    for name, logits in (("objectness", arm_obj_logits), ("class", odm_cls_logits)):
-        bad = logits.size - int(np.count_nonzero(np.isfinite(logits)))
-        if bad:
+    # A row's max and min are NaN when it holds a NaN and infinite when it
+    # holds an inf, so the extremes that bound its probabilities check it.
+    top, low = odm_cls_logits.max(axis=1), odm_cls_logits.min(axis=1)
+    for name, logits, finite in (("objectness", arm_obj_logits, np.isfinite(arm_obj_logits)),
+                                 ("class", odm_cls_logits, np.isfinite(top) & np.isfinite(low))):
+        if not finite.all():
+            bad = logits.size - int(np.count_nonzero(np.isfinite(logits)))
             raise ValueError(f"{name} logits have {bad} non-finite values (NaN or inf) of {logits.size}")
 
     with span(timer, "arm_filter"):
@@ -516,11 +565,18 @@ def pipeline(arm_obj_logits, arm_deltas, odm_cls_logits, odm_deltas, anchors,
             a = int(kept[bad[0]])
             raise ValueError(f"anchor {a}: ARM size deltas {arm_deltas[a, 2:]} refine its prior "
                              f"to size {sizes[bad[0]]}, which is not finite and positive")
-        boxes = decode(refined, odm_deltas[kept], image_size=image_size)
+        check_finite_deltas(odm_deltas[kept])  # rows as `decode` of every kept anchor names them
+        # only the anchors some class of which can reach conf_thresh are decoded and scored
+        reach = can_reach(top[kept], low[kept], shape[1], nms_params.conf_thresh)
+        scored = kept[reach]
+        boxes = decode(refined[reach], odm_deltas[scored], image_size=image_size)
 
     with span(timer, "nms"):
-        candidates = ScoreMatrix(softmax(odm_cls_logits[kept], axis=1)[:, 1:], boxes, kept,
-                                 nms_params.conf_thresh)
+        if counters is not None:
+            counters.scored_rows += len(scored)
+        probs = _softmax_shifted(odm_cls_logits[scored].astype(np.float64), top[scored, None], axis=1)
+        candidates = ScoreMatrix(probs[:, 1:], boxes, scored, nms_params.conf_thresh)
+        del probs  # the matrix holds a copy of the foreground columns
         return nms_greedy(candidates, iou_thresh, nms_params,
                           counters=counters, cap_scope=cap_scope)
 

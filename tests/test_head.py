@@ -126,28 +126,36 @@ def test_tcb_level_top_down_contract():
 
 
 def test_flatten_predictions_ordering():
-    # encode (anchor a, component j, row y, col x) into the value, then check
-    # every flattened row lands where the anchor layout says it should
-    n, A, k, h, w = 1, 3, 4, 2, 3
-    x = np.zeros((n, A * k, h, w), np.float32)
-    for a in range(A):
-        for j in range(k):
-            for y in range(h):
-                for xx in range(w):
-                    x[0, a * k + j, y, xx] = a * 1000 + j * 100 + y * 10 + xx
-    flat = H.flatten_predictions(x, A, k)
-    assert flat.shape == (1, h * w * A, k)
-    for y in range(h):
-        for xx in range(w):
-            for a in range(A):
-                row = (y * w + xx) * A + a
-                for j in range(k):
-                    assert flat[0, row, j] == a * 1000 + j * 100 + y * 10 + xx
+    # encode (level l, anchor a, component j, row y, col x) into the value,
+    # then check every flattened row lands where the anchor layout says it
+    # should: levels in order, each row -> col -> anchor
+    n, A, k = 1, 3, 4
+    xs = []
+    for l, (h, w) in enumerate([(2, 3), (1, 2)]):
+        x = np.zeros((n, A * k, h, w), np.float32)
+        for a in range(A):
+            for j in range(k):
+                for y in range(h):
+                    for xx in range(w):
+                        x[0, a * k + j, y, xx] = l * 10000 + a * 1000 + j * 100 + y * 10 + xx
+        xs.append(x)
+    flat = H.flatten_predictions(xs, A, k)
+    assert flat.shape == (1, (6 + 2) * A, k) and flat.dtype == np.float32
+    row = 0
+    for l, x in enumerate(xs):
+        h, w = x.shape[2:]
+        for y in range(h):
+            for xx in range(w):
+                for a in range(A):
+                    for j in range(k):
+                        assert flat[0, row, j] == l * 10000 + a * 1000 + j * 100 + y * 10 + xx
+                    row += 1
 
 
 def test_flatten_predictions_rejects_channel_mismatch():
     with pytest.raises(ValueError, match="expected 12 channels"):
-        H.flatten_predictions(np.zeros((1, 10, 2, 2), np.float32), 3, 4)
+        H.flatten_predictions([np.zeros((1, 12, 2, 2), np.float32),
+                               np.zeros((1, 10, 2, 2), np.float32)], 3, 4)
 
 
 # ---------------------------------------------------------------------------

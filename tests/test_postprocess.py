@@ -605,7 +605,7 @@ def test_pipeline_rejects_bad_shapes():
 def assert_matches_nonzero_route(case, params, scope):
     """The pipeline against the route that lists every candidate as a
     DetectionSet row: equal detections, column by column, and equal
-    counters.  Returns the detections."""
+    counters.  Returns the pipeline's detections and counters."""
     anchors, arm_obj, arm_deltas, odm_cls, odm_deltas = case
     want_counters, got_counters = pp.NmsCounters(), pp.NmsCounters()
     want = pipeline_nonzero_route(arm_obj, arm_deltas, odm_cls, odm_deltas, anchors, params,
@@ -620,7 +620,7 @@ def assert_matches_nonzero_route(case, params, scope):
         np.testing.assert_array_equal(a, b, err_msg=column)
     assert got_counters.iou_evals == want_counters.iou_evals
     assert got_counters.candidates_per_class == want_counters.candidates_per_class
-    return got
+    return got, got_counters
 
 
 @pytest.fixture(scope="module")
@@ -642,7 +642,7 @@ def signal_predictions():
 @pytest.mark.parametrize("scope", pp.CAP_SCOPES)
 @pytest.mark.parametrize("triple", [(400, 200, 0.1), (1000, 500, 0.01)], ids=["edge", "server"])
 def test_pipeline_matches_nonzero_route_under_signal_weights(signal_predictions, triple, scope):
-    got = assert_matches_nonzero_route(signal_predictions, pp.NmsParams(*triple), scope)
+    got, _ = assert_matches_nonzero_route(signal_predictions, pp.NmsParams(*triple), scope)
     assert len(got) == triple[1]
 
 
@@ -676,11 +676,178 @@ def test_pipeline_drops_a_float32_threshold_probability_below_conf_thresh(monkey
     monkeypatch.setattr(pp, "nms_greedy", lambda dets, *args, **kwargs:
                         lengths.append(len(dets)) or nms_greedy(dets, *args, **kwargs))
     for scope in pp.CAP_SCOPES:
-        got = assert_matches_nonzero_route((anchors, arm_obj, arm_deltas, odm_cls, odm_deltas),
+        got, _ = assert_matches_nonzero_route((anchors, arm_obj, arm_deltas, odm_cls, odm_deltas),
                                            pp.NmsParams(400, 200, 0.7), scope)
         assert sorted(got.indices.tolist()) == [hot[0], hot[2]]
     # the listed set holds 3 rows; the pipeline's candidates count 2
     assert lengths == [3, 2] * 2
+
+
+# ---------------------------------------------------------------------------
+# the bound that decides which anchors are scored
+
+
+def kept_rows(arm_obj):
+    return pp.arm_filter(softmax_gold(arm_obj, axis=1)[:, 0], pp.DEFAULT_NEG_THRESH)
+
+
+def bound_case(rng, odm_cls):
+    """Anchors, ARM outputs that keep about nine in ten of them, small
+    deltas, and the given class logits."""
+    n = len(odm_cls)
+    anchors = np.concatenate([rng.random((n, 2)) * 240 + 40, rng.random((n, 2)) * 50 + 8], axis=1)
+    arm_obj = np.stack([np.zeros(n), rng.normal(-2.0, 2.0, n)], axis=1).astype(np.float32)
+    arm_deltas = rng.normal(0.0, 0.2, (n, 4)).astype(np.float32)
+    odm_deltas = rng.normal(0.0, 0.2, (n, 4)).astype(np.float32)
+    return anchors, arm_obj, arm_deltas, odm_cls, odm_deltas
+
+
+NARROW = 120  # the first rows of `bound_logits`
+
+
+def bound_logits(rng, n_classes):
+    """Class logits of NARROW narrow rows, then wide and extreme ones:
+    spreads of 0.01 and 3, and rows of +-1e4 whose exp(low - top)
+    underflows to 0."""
+    cols = n_classes + 1
+    narrow = rng.normal(0.0, 0.01, (NARROW, cols))
+    wide = rng.normal(0.0, 3.0, (120, cols))
+    extreme = rng.choice([-1e4, 0.0], size=(40, cols))
+    extreme[np.arange(40), rng.integers(0, cols, 40)] = 1e4
+    extreme[np.arange(0, 40, 2), rng.integers(0, cols, 20)] = 1e4  # ties at the top
+    return np.concatenate([narrow, wide, extreme]).astype(np.float32)
+
+
+@pytest.mark.parametrize("n_classes", [4, 80])
+@pytest.mark.parametrize("conf", [0.0, 0.01, 0.1, 0.5, 0.99])
+def test_pipeline_bound_keeps_the_nonzero_route_answers(n_classes, conf):
+    rng = np.random.default_rng([27, n_classes, int(conf * 100)])
+    case = bound_case(rng, bound_logits(rng, n_classes))
+    kept = kept_rows(case[1])
+    # kept anchors with a foreground probability at conf_thresh or above
+    reaching = np.count_nonzero(
+        (softmax_gold(case[3][kept], axis=1)[:, 1:].astype(np.float64) >= conf).any(axis=1))
+    for scope in pp.CAP_SCOPES:
+        got, counters = assert_matches_nonzero_route(case, pp.NmsParams(400, 200, conf), scope)
+        assert len(got) > 0
+        assert reaching <= counters.scored_rows <= len(kept)
+        if conf == 0.0:
+            assert counters.scored_rows == len(kept)
+        if conf >= 0.5:  # the bound of a narrow row is near 1 / (n_classes + 1)
+            assert counters.scored_rows <= len(kept) - np.count_nonzero(kept < NARROW)
+
+
+@pytest.mark.parametrize("n_classes", [4, 80])
+def test_pipeline_keeps_a_row_whose_probability_meets_the_bound(n_classes):
+    # one high logit and n_classes equal lower ones: the row's largest
+    # probability equals the bound.  With conf_thresh exactly that float32
+    # probability the row is a candidate, so the bound must keep it, also
+    # where rounding to float32 raised the probability above the float64
+    # bound.
+    rng = np.random.default_rng(28)
+    cols = n_classes + 1
+    gaps = np.linspace(0.05, 12.0, 240).astype(np.float32)
+    odm_cls = np.zeros((len(gaps), cols), np.float32)
+    high = rng.integers(1, cols, len(gaps))
+    odm_cls[np.arange(len(gaps)), high] = gaps
+    # every anchor kept, on a grid where no two boxes overlap
+    cells = np.stack(np.meshgrid(np.arange(16), np.arange(15)), axis=-1).reshape(-1, 2) * 20.0 + 10
+    anchors = np.concatenate([cells, np.full((len(gaps), 2), 8.0)], axis=1)
+    arm_obj = np.tile(np.float32([0.0, 5.0]), (len(gaps), 1))
+    zeros = np.zeros((len(gaps), 4), np.float32)
+    case = anchors, arm_obj, zeros, odm_cls, zeros
+    probs = softmax_gold(odm_cls, axis=1)
+    checked = 0
+    for row in range(len(gaps)):
+        conf = float(probs[row, high[row]])
+        if not 0.0 < conf < 1.0:
+            continue
+        got, counters = assert_matches_nonzero_route(case, pp.NmsParams(400, 400, conf),
+                                                     "per_class")
+        assert row in got.indices[got.class_ids == high[row]], f"row {row} at {conf!r}"
+        # tight rows 0.05 apart: exactly those reaching conf_thresh are scored
+        assert counters.scored_rows == np.count_nonzero(probs[np.arange(len(gaps)), high] >= conf)
+        checked += 1
+    assert checked > 200
+
+
+def test_can_reach_bounds_every_row():
+    rng = np.random.default_rng(29)
+    logits = bound_logits(rng, 80)
+    top, low = logits.max(axis=1), logits.min(axis=1)
+    largest = softmax_gold(logits, axis=1).max(axis=1).astype(np.float64)
+    for conf in (0.0, 0.012, 0.05, 0.3, 0.9):
+        reach = pp.can_reach(top, low, 81, conf)
+        assert reach[largest >= conf].all()
+    assert pp.can_reach(top, low, 81, 0.0).all()
+    # equal logits: the bound is 1 / 81, which the slack raises by 2**-20 of it
+    assert pp.can_reach(np.float32([2.5]), np.float32([2.5]), 81, (1 + 2**-21) / 81)[0]
+    assert not pp.can_reach(np.float32([2.5]), np.float32([2.5]), 81, (1 + 2**-19) / 81)[0]
+
+
+def dropped_row_case():
+    """The known-answer case with hot[1]'s class logits flat (probability
+    0.25 each): at conf_thresh 0.5 the bound drops it and scores the other
+    two kept anchors."""
+    anchors, arm_obj, arm_deltas, odm_cls, odm_deltas, hot = build_pipeline_case()
+    odm_cls[hot[1]] = 0.0
+    counters = pp.NmsCounters()
+    out = pp.pipeline(arm_obj, arm_deltas, odm_cls, odm_deltas, anchors, pp.NmsParams(400, 200, 0.5),
+                      image_size=320, counters=counters)
+    assert counters.scored_rows == 2 and sorted(out.indices.tolist()) == [hot[0], hot[2]]
+    return anchors, arm_obj, arm_deltas, odm_cls, odm_deltas, hot
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_pipeline_refuses_a_non_finite_final_delta_on_an_unscored_row(value):
+    # the row number is hot[1]'s among the kept anchors (3, 17, 29), as
+    # decoding every kept anchor names it
+    anchors, arm_obj, arm_deltas, odm_cls, odm_deltas, hot = dropped_row_case()
+    odm_deltas[hot[1], 1] = value
+    for route in (pp.pipeline, pipeline_nonzero_route):
+        kwargs = {} if route is pp.pipeline else dict(
+            iou_thresh=pp.DEFAULT_IOU_THRESH, neg_thresh=pp.DEFAULT_NEG_THRESH, cap_scope="per_class")
+        with pytest.raises(ValueError, match="^non-finite delta at row 1$"):
+            route(arm_obj, arm_deltas, odm_cls, odm_deltas, anchors, pp.NmsParams(400, 200, 0.5),
+                  image_size=320, **kwargs)
+
+
+def test_pipeline_refuses_an_overflowing_size_delta_on_an_unscored_row():
+    anchors, arm_obj, arm_deltas, odm_cls, odm_deltas, hot = dropped_row_case()
+    arm_deltas[hot[1], 2:] = (0.0, 5000.0)
+    message = rf"anchor {hot[1]}: ARM size deltas \[.*\] refine its prior to size .*inf"
+    with pytest.raises(ValueError, match=message):
+        pp.pipeline(arm_obj, arm_deltas, odm_cls, odm_deltas, anchors, pp.NmsParams(400, 200, 0.5),
+                    image_size=320)
+
+
+def test_pipeline_refuses_a_nan_class_logit_on_an_unscored_row():
+    anchors, arm_obj, arm_deltas, odm_cls, odm_deltas, hot = dropped_row_case()
+    odm_cls[hot[1], 3] = np.nan
+    odm_cls[0, 0] = -np.inf  # an anchor arm_filter drops
+    with pytest.raises(ValueError, match="class logits have 2 non-finite values"):
+        pp.pipeline(arm_obj, arm_deltas, odm_cls, odm_deltas, anchors, pp.NmsParams(400, 200, 0.5),
+                    image_size=320)
+
+
+def test_scored_rows_follow_the_budget_on_thin_vgg16():
+    # under the default init every class probability sits near 1/81: no
+    # kept anchor can reach 0.1, and every one can reach 0.01
+    from refinedet_edge.config import ModelSpec
+    from refinedet_edge.head import build_model
+
+    model = build_model(ModelSpec(backbone="vgg16", head_depth=256, width_multiplier=0.0625,
+                                  num_classes=80))
+    image = np.random.default_rng(30).random((1, 3, 320, 320), dtype=np.float32)
+    kept = len(kept_rows(model.forward(image).arm_obj[0]))
+    assert kept > 0
+    counters = pp.NmsCounters()
+    assert len(model.infer(image, pp.NmsParams(400, 200, 0.1), counters=counters)) == 0
+    assert counters.scored_rows == 0
+    assert len(model.infer(image, pp.NmsParams(1000, 500, 0.01), counters=counters)) == 500
+    assert counters.scored_rows == kept
+    model.infer(image, pp.NmsParams(1000, 500, 0.01), counters=counters)
+    assert counters.scored_rows == 2 * kept  # summed over calls
 
 
 def test_pipeline_memory_at_the_server_shape():
