@@ -25,6 +25,8 @@ from .blocks import (
     scaled,
 )
 from . import postprocess as pp
+from .config import ModelSpec
+from .weights import check_shapes, init_from_decls
 
 
 # ---------------------------------------------------------------------------
@@ -62,8 +64,6 @@ def generate_anchors(input_size, strides=PYRAMID_STRIDES, scales=None, ratios=(0
         raise ValueError("need at least one stride")
     if not ratios:
         raise ValueError("need at least one aspect ratio")
-    if any(r <= 0 for r in ratios):
-        raise ValueError(f"aspect ratios must be positive, got {ratios}")
     if scales is None:
         scales = tuple(4 * s for s in strides)
     scales = tuple(float(s) for s in scales)
@@ -74,6 +74,8 @@ def generate_anchors(input_size, strides=PYRAMID_STRIDES, scales=None, ratios=(0
             raise ValueError(f"strides must be positive, got {s}")
         if input_size % s != 0:
             raise ValueError(f"input size {input_size} is not divisible by stride {s}")
+    if not all(0 < v < np.inf for v in scales + ratios):
+        raise ValueError(f"scales and aspect ratios must be positive and finite, got {scales} and {ratios}")
 
     parts = []
     shapes = []
@@ -183,8 +185,6 @@ class DetectionModel:
     """
 
     def __init__(self, spec):
-        from .config import ModelSpec  # typing aid only; avoids import cycle at module load
-
         if not isinstance(spec, ModelSpec):
             raise TypeError(f"expected a ModelSpec, got {type(spec).__name__}")
         self.spec = spec
@@ -277,8 +277,6 @@ class DetectionModel:
         return sum(d.size for d in self.weight_manifest() if d.trainable)
 
     def bind(self, bundle):
-        from .weights import check_shapes
-
         check_shapes(bundle, self.weight_manifest())
         self.weights = bundle
         return self
@@ -366,8 +364,6 @@ def assemble_model(spec):
 
 def build_model(spec):
     """Assemble, initialize (seeded by spec.seed), and bind weights; ready to infer."""
-    from .weights import init_from_decls
-
     model = assemble_model(spec)
     bundle = init_from_decls(model.weight_manifest(), spec.seed, sigma=spec.weight_init_sigma)
     return model.bind(bundle)

@@ -82,12 +82,27 @@ class ProfileReport:
             payload = json.loads(text)
         except json.JSONDecodeError as e:
             raise ValueError(f"not a profile report: {e}") from None
-        try:
-            values = {f.name: payload[f.name] for f in fields(cls)}
-            values["stages"] = [StageStat(**s) for s in values["stages"]]
-            return cls(**values)
-        except (KeyError, TypeError) as e:
-            raise ValueError(f"not a profile report: missing field {e}") from None
+        values = _typed_fields(payload, cls)
+        values["stages"] = [StageStat(**_typed_fields(s, StageStat)) for s in values["stages"]]
+        if not all(isinstance(n, str) for n in values["notes"]):
+            raise ValueError("not a profile report: 'notes' holds a non-string")
+        if not any(s.name == "total" for s in values["stages"]):
+            raise ValueError("not a profile report: no 'total' stage")
+        return cls(**values)
+
+
+def _typed_fields(record, cls):
+    """`cls`'s fields from JSON object `record`, each of its declared type."""
+    if not isinstance(record, dict):
+        raise ValueError(f"not a profile report: a {cls.__name__} is {type(record).__name__}")
+    for f in fields(cls):
+        if f.name not in record:
+            raise ValueError(f"not a profile report: missing field {f.name!r}")
+        v = record[f.name]
+        want = (int, float) if f.type is float else f.type
+        if not isinstance(v, want) or isinstance(v, bool) != (f.type is bool):
+            raise ValueError(f"not a profile report: {f.name!r} is {type(v).__name__}, not {f.type.__name__}")
+    return {f.name: record[f.name] for f in fields(cls)}
 
 
 def environment():

@@ -9,6 +9,7 @@ with 64-bit FNV-1a (`fnv1a64`), are still read and verified.
 
 from dataclasses import dataclass
 import hashlib
+import math
 import re
 
 import numpy as np
@@ -226,7 +227,7 @@ def load_wts(path):
     if len(raw) - pos != nbytes:
         raise ValueError(f"{path}: header line {line!r} declares {nbytes} data bytes, "
                          f"file holds {len(raw) - pos} after the header")
-    expected = sum(int(np.prod(s, dtype=np.int64)) for s in decls.values()) * 4
+    expected = sum(math.prod(s) for s in decls.values()) * 4  # Python ints: no overflow
     if nbytes != expected:
         raise ValueError(f"{path}: manifest declares {expected} bytes of tensors, data block has {nbytes}")
     if "tensor_count" in meta and number("tensor_count") != len(decls):
@@ -238,7 +239,7 @@ def load_wts(path):
     tensors = []
     off = 0
     for name, shape in decls.items():
-        n = int(np.prod(shape, dtype=np.int64))
+        n = math.prod(shape)
         arr = np.frombuffer(blob, dtype="<f4", count=n, offset=off).reshape(shape).copy()
         tensors.append((name, arr))
         off += n * 4

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from refinedet_edge import evaluate as ev
 from refinedet_edge import postprocess as pp
 from refinedet_edge.head import build_model
 from refinedet_edge.profiler import ProfileReport
-from refinedet_edge.weights import save_wts
+from refinedet_edge.weights import WeightBundle, load_wts, save_wts
 
 
 def write_cfg(tmp_path, filename="model.cfg", **overrides):
@@ -185,8 +187,6 @@ def test_bench_rejects_corrupt_weights(tmp_path, capsys):
 
 
 def test_bench_rejects_nan_weights(tmp_path, capsys):
-    from refinedet_edge.weights import WeightBundle, load_wts
-
     path = write_cfg(tmp_path)
     wts = tmp_path / "t.wts"
     assert cli.main(["build", str(path), "--weights", str(wts)]) == 0
@@ -201,11 +201,50 @@ def test_bench_rejects_nan_weights(tmp_path, capsys):
     assert "objectness logits have" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("dims", ["4611686018427387905 4", str(2**64)], ids=["wraps-int64", "2**64"])
+def test_bench_rejects_overflowing_dims(tmp_path, capsys, dims):
+    wts = tmp_path / "huge.wts"
+    save_wts(wts, WeightBundle([("t", np.zeros(4, np.float32))]), "t")
+    wts.write_bytes(wts.read_bytes().replace(b"tensor t 4\n", f"tensor t {dims}\n".encode(), 1))
+    assert cli.main(["bench", str(write_cfg(tmp_path)), "--runs", "3", "--warmup", "1",
+                     "--weights", str(wts)]) == 3
+    assert f"error: {wts}: manifest declares" in capsys.readouterr().err
+
+
 def test_report_rejects_garbage_json(tmp_path, capsys):
     path = tmp_path / "junk.json"
     path.write_text("{not json")
     assert cli.main(["report", str(path)]) == 3
     assert "not a profile report" in capsys.readouterr().err
+
+
+def saved_report(tmp_path, capsys):
+    """A real report as a dict: `bench --json` on the desk-size model."""
+    path = tmp_path / "report.json"
+    assert cli.main(["bench", str(write_cfg(tmp_path)), "--runs", "3", "--warmup", "1",
+                     "--json", str(path)]) == 0
+    capsys.readouterr()
+    return json.loads(path.read_text())
+
+
+@pytest.mark.parametrize("edit, fragment", [
+    (lambda r: r.update(stages=[s for s in r["stages"] if s["name"] != "total"]), "no 'total' stage"),
+    (lambda r: r["stages"][0].update(mean_ms=None), "'mean_ms' is NoneType, not float"),
+    (lambda r: r.update(runs="3"), "'runs' is str, not int"),
+    (lambda r: r.update(environment=[1]), "'environment' is list, not dict"),
+    (lambda r: r.update(sum_check_ok=1), "'sum_check_ok' is int, not bool"),
+    (lambda r: r.update(warmup=True), "'warmup' is bool, not int"),
+    (lambda r: r.update(notes=[1]), "'notes' holds a non-string"),
+    (lambda r: r["stages"].append("total"), "a StageStat is str"),
+], ids=["no-total", "null-mean", "string-runs", "list-environment", "int-flag", "bool-warmup",
+        "int-note", "string-stage"])
+def test_report_rejects_mistyped_fields(tmp_path, capsys, edit, fragment):
+    report = saved_report(tmp_path, capsys)
+    edit(report)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(report))
+    assert cli.main(["report", str(path)]) == 3
+    assert f"not a profile report: {fragment}" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -71,6 +71,13 @@ def test_anchor_validation():
         H.generate_anchors(320, ratios=(1.0, -2.0))
     with pytest.raises(ValueError, match="4 strides|scales"):
         H.generate_anchors(320, scales=(32.0,))
+    nan, inf = float("nan"), float("inf")
+    for scale in (0.0, -64.0, nan):  # one bad level of four
+        with pytest.raises(ValueError, match="scales and aspect ratios must be positive and finite"):
+            H.generate_anchors(320, scales=(32.0, scale, 128.0, 256.0))
+    for ratio in (nan, inf):
+        with pytest.raises(ValueError, match="ratios must be positive and finite"):
+            H.generate_anchors(320, ratios=(0.5, ratio))
 
 
 # ---------------------------------------------------------------------------
