@@ -311,21 +311,13 @@ def test_wts_rejects_non_numeric_fields(tmp_path, old, new, fragment):
     assert_refused(corrupt(tmp_path, old, new), "bad header line", fragment)
 
 
-# 2**62 + 1 elements times 4 wraps to 4 in int64, so 16 bytes would have matched
-OVERFLOWING_DIMS = ["4611686018427387905 4", str(2**64)]
-
-
-def overflowing_wts(path, dims):
-    """A bundle with one 4-element tensor whose header line declares `dims`."""
-    W.save_wts(path, W.WeightBundle([("t", np.zeros(4, np.float32))]), "toy")
-    raw = path.read_bytes()
-    path.write_bytes(raw.replace(b"tensor t 4\n", f"tensor t {dims}\n".encode(), 1))
-    return path
-
-
-@pytest.mark.parametrize("dims", OVERFLOWING_DIMS, ids=["wraps-int64", "2**64"])
+# (2**62 + 1) * 4 elements wrap to 4 in int64, so a 16-byte data block used to match
+@pytest.mark.parametrize("dims", ["4611686018427387905 4", str(2**64)], ids=["wraps-int64", "2**64"])
 def test_wts_counts_huge_dims_without_overflow(tmp_path, dims):
-    assert_refused(overflowing_wts(tmp_path / "huge.wts", dims), "manifest declares", "has 16")
+    path = tmp_path / "huge.wts"
+    W.save_wts(path, W.WeightBundle([("t", np.zeros(4, np.float32))]), "toy")
+    path.write_bytes(path.read_bytes().replace(b"tensor t 4\n", f"tensor t {dims}\n".encode(), 1))
+    assert_refused(path, "manifest declares", "has 16")
 
 
 def test_wts_rejects_a_duplicate_tensor_name(tmp_path):
