@@ -52,17 +52,18 @@ def effective_cardinality(width, requested):
 
 
 class ConvUnit:
-    """Convolution padded by kernel height // 2, then an optional relu: batch
+    """Square convolution padded by kernel // 2, then an optional relu: batch
     norm folded into the convolution (`bn=True`), or a `/b` bias (`bn=False`)."""
 
     def __init__(self, name, c_in, c_out, kernel=3, stride=1, groups=1, bn=True, act="relu"):
         if act not in ("relu", "none"):
             raise ValueError(f"unknown activation {act!r}")
-        kh, kw = T._as_pair(kernel)
+        if not isinstance(kernel, int):
+            raise ValueError(f"{name}: kernel must be one int, got {kernel!r}")
         self.name = name
         self.c_in = c_in
         self.c_out = c_out
-        self.params = T.ConvParams((kh, kw), stride=stride, padding=kh // 2, groups=groups)
+        self.params = T.ConvParams(kernel, stride=stride, padding=kernel // 2, groups=groups)
         self.bn = bn
         self.act = act
 

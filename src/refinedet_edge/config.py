@@ -173,7 +173,7 @@ def parse(text, strict=True, source="<config>"):
 
 
 def parse_file(path, strict=True):
-    with open(path, encoding="utf-8") as f:
+    with open(path, encoding="utf-8-sig") as f:
         text = f.read()
     return parse(text, strict=strict, source=os.fspath(path))
 

@@ -621,7 +621,7 @@ def read_records(path, ignore_flag=False):
     line is looked up only when that fails.
     """
     counts = (6, 7) if ignore_flag else (7,)
-    with open(path, encoding="utf-8") as f:
+    with open(path, encoding="utf-8-sig") as f:
         lines = [(n, line.split(",")) for n, line in enumerate(map(str.strip, f), 1)
                  if line and not line.startswith("#")]
     for n, r in lines:

@@ -11,13 +11,12 @@ disagree by more than 2%.
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 import json
+import math
 import os
 import platform
 import time
 
 import numpy as np
-
-from .evaluate import coco_map
 
 STAGE_ORDER = ("backbone", "arm_head", "tcb", "odm_head", "decode", "arm_filter", "nms")
 TIMING_NOTE = ("timed region covers the inference call only; input generation, "
@@ -86,8 +85,20 @@ class ProfileReport:
         values["stages"] = [StageStat(**_typed_fields(s, StageStat)) for s in values["stages"]]
         if not all(isinstance(n, str) for n in values["notes"]):
             raise ValueError("not a profile report: 'notes' holds a non-string")
-        if not any(s.name == "total" for s in values["stages"]):
+        total = next((s for s in values["stages"] if s.name == "total"), None)
+        if total is None:
             raise ValueError("not a profile report: no 'total' stage")
+        runs, warmup, fps = values["runs"], values["warmup"], values["fps"]
+        if not runs > warmup >= 0:
+            raise ValueError(f"not a profile report: runs {runs} with warmup {warmup}; needs runs > warmup >= 0")
+        for s in values["stages"]:
+            if s.samples != runs - warmup or not (0 <= s.mean_ms < math.inf and 0 <= s.std_ms < math.inf):
+                raise ValueError(f"not a profile report: stage {s.name!r} has {s.samples} samples, "
+                                 f"mean_ms {s.mean_ms}, std_ms {s.std_ms}; needs {runs - warmup} "
+                                 "samples and finite times >= 0")
+        if not (total.mean_ms > 0 and 0 < fps < math.inf):
+            raise ValueError(f"not a profile report: total mean_ms {total.mean_ms}, fps {fps}; "
+                             "both must be finite and positive")
         return cls(**values)
 
 
@@ -225,28 +236,16 @@ class SweepRow:
     fps: float
     bottleneck_stage: str
     bottleneck_share: float
-    map_mean: float = None
     report: ProfileReport = field(default=None, repr=False, compare=False)
 
 
-def compare_sweep(model, triples, runs=210, warmup=10, seed=0, gts=None, image_id="bench-000"):
-    """Benchmark one bound model across NMS triples.
-
-    When a ground-truth set is provided, each triple's detections (from a
-    separate untimed pass on the same synthetic image) are scored against it,
-    keyed by `image_id`.
-    """
+def compare_sweep(model, triples, runs=210, warmup=10, seed=0):
+    """Benchmark one bound model across NMS triples: one row per triple with
+    its nms, fps, bottleneck stage and that stage's share of the total."""
     rows = []
     for triple in triples:
         report = benchmark(model, runs=runs, warmup=warmup, nms_params=triple, seed=seed)
-        stage, share = bottleneck(report)
-        map_mean = None
-        if gts is not None:
-            rng = np.random.default_rng(seed)
-            image = rng.random((1, 3, model.input_size, model.input_size), dtype=np.float32)
-            dets = model.infer(image, nms_params=triple)
-            map_mean = coco_map({image_id: dets}, gts).mean
-        rows.append(SweepRow(triple, report.fps, stage, share, map_mean, report))
+        rows.append(SweepRow(triple, report.fps, *bottleneck(report), report))
     return rows
 
 
@@ -304,12 +303,11 @@ def render_report(report, fmt="text", strip_timings=False):
 
 def render_sweep(rows, fmt="text", model=""):
     if fmt == "csv":
-        lines = ["max_input,max_output,conf_thresh,fps,bottleneck,share,map"]
+        lines = ["max_input,max_output,conf_thresh,fps,bottleneck,share"]
         for r in rows:
-            m = "-" if r.map_mean is None else repr(r.map_mean)
             lines.append(
                 f"{r.nms.max_input},{r.nms.max_output},{r.nms.conf_thresh!r},"
-                f"{r.fps!r},{r.bottleneck_stage},{r.bottleneck_share!r},{m}"
+                f"{r.fps!r},{r.bottleneck_stage},{r.bottleneck_share!r}"
             )
         return "\n".join(lines) + "\n"
     if fmt != "text":
@@ -317,11 +315,10 @@ def render_sweep(rows, fmt="text", model=""):
     lines = []
     if model:
         lines.append(f"model: {model}")
-    lines.append(f"{'nms':<18} {'fps':>8} {'bottleneck':<12} {'share':>7} {'mAP':>8}")
+    lines.append(f"{'nms':<18} {'fps':>8} {'bottleneck':<12} {'share':>7}")
     for r in rows:
-        m = "-" if r.map_mean is None else f"{r.map_mean:.4f}"
         lines.append(
             f"{r.nms.short():<18} {r.fps:>8.2f} {r.bottleneck_stage:<12} "
-            f"{r.bottleneck_share:>7.1%} {m:>8}"
+            f"{r.bottleneck_share:>7.1%}"
         )
     return "\n".join(lines) + "\n"

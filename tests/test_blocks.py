@@ -122,6 +122,11 @@ def test_conv_unit_rejects_negative_variance():
         unit.forward(rand_map((1, 3, 6, 6), 7), bundle)
 
 
+def test_conv_unit_takes_one_int_kernel():
+    with pytest.raises(ValueError, match=r"^stage/u: kernel must be one int, got \(1, 3\)$"):
+        B.ConvUnit("stage/u", 4, 4, (1, 3))
+
+
 def test_conv_unit_bias_no_bn():
     rng = np.random.default_rng(2)
     unit = B.ConvUnit("u", 4, 2, 1, bn=False, act="none")

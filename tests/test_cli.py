@@ -247,6 +247,28 @@ def test_report_rejects_mistyped_fields(tmp_path, capsys, edit, fragment):
     assert f"not a profile report: {fragment}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edit, fragment", [
+    (lambda r: r.update(runs=2, warmup=5), "runs 2 with warmup 5; needs runs > warmup >= 0"),
+    (lambda r: r.update(warmup=-1), "runs 3 with warmup -1"),
+    (lambda r: r["stages"][0].update(samples=5), "has 5 samples"),
+    (lambda r: r["stages"][0].update(mean_ms=-1.0), "mean_ms -1.0"),
+    (lambda r: r["stages"][0].update(std_ms=float("inf")), "std_ms inf"),
+    (lambda r: r["stages"][-1].update(mean_ms=float("nan")), "'total' has 2 samples, mean_ms nan"),
+    (lambda r: r["stages"][-1].update(mean_ms=0.0), "total mean_ms 0.0"),
+    (lambda r: r.update(fps=-5.0), "fps -5.0"),
+    (lambda r: r.update(fps=float("inf")), "fps inf"),
+], ids=["runs-below-warmup", "negative-warmup", "samples-mismatch", "negative-mean", "infinite-std",
+        "nan-total", "zero-total", "negative-fps", "infinite-fps"])
+def test_report_rejects_impossible_values(tmp_path, capsys, edit, fragment):
+    report = saved_report(tmp_path, capsys)
+    edit(report)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(report))
+    assert cli.main(["report", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: not a profile report: ") and fragment in err
+
+
 # ---------------------------------------------------------------------------
 # sweep
 
@@ -303,6 +325,17 @@ def test_eval_text_output(tmp_path, capsys):
     assert "AP@0.50: 1.0000" in out
     assert "AP@0.95: 1.0000" in out
     assert "mAP@[0.50:0.95]: 1.0000" in out
+
+
+@pytest.mark.parametrize("which", [0, 1], ids=["detections", "ground-truth"])
+def test_eval_reads_past_a_byte_order_mark(tmp_path, capsys, which):
+    paths = eval_files(tmp_path)
+    assert cli.main(["eval", *map(str, paths)]) == 0
+    plain = capsys.readouterr().out
+    assert "mAP@[0.50:0.95]: 1.0000" in plain
+    paths[which].write_bytes(b"\xef\xbb\xbf" + paths[which].read_bytes())
+    assert cli.main(["eval", *map(str, paths)]) == 0
+    assert capsys.readouterr().out == plain
 
 
 def test_eval_csv_output(tmp_path, capsys):

@@ -174,6 +174,12 @@ def test_parse_file(tmp_path):
     assert C.parse_file(path).name == "RefineDet320"
 
 
+def test_parse_file_reads_past_a_byte_order_mark(tmp_path):
+    path = tmp_path / "m.cfg"
+    path.write_bytes(b"\xef\xbb\xbf" + BASIC.encode())
+    assert C.parse_file(path) == C.parse(BASIC)
+
+
 def test_write_config_round_trip(tmp_path):
     spec = C.ModelSpec(name="rRefineDet512", backbone="xception",
                        input_size=512, head_depth=128, width_multiplier=0.5)

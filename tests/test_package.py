@@ -2,7 +2,8 @@
 
 README's Quick start imports from the package root, and every module must
 import on its own, so an import cycle between modules fails here rather than
-in whichever caller happens to import the modules in a bad order.
+in whichever caller happens to import the modules in a bad order.  The
+profiler times and renders; it imports no evaluator.
 """
 
 import os
@@ -42,3 +43,8 @@ def test_readme_quick_start_runs(tmp_path):
     code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     assert "from refinedet_edge import" in code
     assert run_python(code, tmp_path).strip()
+
+
+def test_profiler_does_not_import_the_evaluator(tmp_path):
+    run_python("import sys, refinedet_edge.profiler\n"
+               "assert 'refinedet_edge.evaluate' not in sys.modules", tmp_path)

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from refinedet_edge import profiler as P
-from refinedet_edge.evaluate import GroundTruth
 from refinedet_edge.postprocess import DetectionSet, NmsParams
 
 
@@ -306,21 +305,22 @@ def test_compare_sweep_orders_and_shifts_bottleneck(fake_clock):
     assert rows[0].bottleneck_stage == "backbone"  # 1.0 vs 1.0 ms: alphabetical
     assert rows[1].bottleneck_stage == "nms"  # 2.5 ms dominates
     assert rows[1].bottleneck_share > rows[0].bottleneck_share
-    assert rows[0].map_mean is None
     assert rows[0].report.stage("nms").mean_ms == pytest.approx(1.0, rel=0.15)
 
 
-def test_compare_sweep_scores_against_ground_truth(fake_clock):
-    gts = {
-        "bench-000": GroundTruth(
-            boxes=np.array([[10.0, 10.0, 20.0, 20.0]], dtype=np.float32),
-            class_ids=np.array([1], dtype=np.int64),
-            ignore=np.array([False]),
-        )
-    }
-    rows = P.compare_sweep(SweepModel(fake_clock), [NmsParams(400, 200, 0.1)],
-                           runs=4, warmup=1, gts=gts)
-    assert rows[0].map_mean == pytest.approx(1.0)
+def test_compare_sweep_runs_only_the_timed_passes(fake_clock):
+    model = SweepModel(fake_clock)
+    calls = []
+    timed_infer = model.infer
+
+    def infer(image, **kw):
+        calls.append(kw["nms_params"])
+        return timed_infer(image, **kw)
+
+    model.infer = infer
+    triples = [NmsParams(400, 200, 0.1), NmsParams(1000, 500, 0.01)]
+    P.compare_sweep(model, triples, runs=5, warmup=1)
+    assert calls == [triples[0]] * 5 + [triples[1]] * 5
 
 
 # ---------------------------------------------------------------------------
@@ -388,15 +388,15 @@ def test_render_unknown_format():
 
 def test_render_sweep_text_and_csv():
     rows = [
-        P.SweepRow(NmsParams(400, 200, 0.1), 12.5, "backbone", 0.5, None),
-        P.SweepRow(NmsParams(1000, 500, 0.01), 3.25, "nms", 0.875, 0.25),
+        P.SweepRow(NmsParams(400, 200, 0.1), 12.5, "backbone", 0.5),
+        P.SweepRow(NmsParams(1000, 500, 0.01), 3.25, "nms", 0.875),
     ]
     text = P.render_sweep(rows, fmt="text", model="m")
     assert "model: m" in text
     assert "(400,200,0.1)" in text and "(1000,500,0.01)" in text
-    assert "87.5%" in text and "0.2500" in text
+    assert "87.5%" in text
     csv = P.render_sweep(rows, fmt="csv")
     lines = csv.strip().splitlines()
-    assert lines[0] == "max_input,max_output,conf_thresh,fps,bottleneck,share,map"
-    assert lines[1] == "400,200,0.1,12.5,backbone,0.5,-"
-    assert lines[2] == "1000,500,0.01,3.25,nms,0.875,0.25"
+    assert lines[0] == "max_input,max_output,conf_thresh,fps,bottleneck,share"
+    assert lines[1] == "400,200,0.1,12.5,backbone,0.5"
+    assert lines[2] == "1000,500,0.01,3.25,nms,0.875"
