@@ -14,7 +14,7 @@ import logging
 
 import numpy as np
 
-from .postprocess import iou_matrix, read_records
+from .postprocess import iou_matrix, read_records, write_records
 
 log = logging.getLogger(__name__)
 
@@ -164,13 +164,7 @@ def coco_map(detections, gts, thresholds=COCO_THRESHOLDS):
 
 def write_ground_truth(path, gts):
     """Write records: image_id,class_id,x_min,y_min,width,height[,ignore]."""
-    with open(path, "w", encoding="utf-8") as f:
-        for image_id in sorted(gts):
-            gt = gts[image_id]
-            for i in range(len(gt)):
-                x0, y0, x1, y1 = (float(v) for v in gt.boxes[i])
-                flag = ",1" if gt.ignore[i] else ""
-                f.write(f"{image_id},{int(gt.class_ids[i])},{x0!r},{y0!r},{(x1 - x0)!r},{(y1 - y0)!r}{flag}\n")
+    write_records(path, gts, lambda gt, i: ",1" if gt.ignore[i] else "")
 
 
 def read_ground_truth(path):

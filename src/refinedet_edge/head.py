@@ -199,27 +199,23 @@ class DetectionModel:
         self.interm_depth_realized = interm_depth
 
         A = len(self.anchors.ratios)
-        C = spec.num_classes
-        self.l2norms = {}
-        for lvl in self.backbone.l2norm_levels:
-            name, c, _ = pyramid[lvl]
-            self.l2norms[lvl] = L2NormUnit(f"head/{name}_l2norm", c)
+        self.l2norms = {lvl: L2NormUnit(f"head/{pyramid[lvl][0]}_l2norm", pyramid[lvl][1])
+                        for lvl in self.backbone.l2norm_levels}
 
-        self.arm_cls = []
-        self.arm_reg = []
-        self.intermediates = []
-        self.tcb = []
-        self.odm_cls = []
-        self.odm_reg = []
-        for i, (_, c, _) in enumerate(pyramid):
-            self.arm_cls.append(ConvUnit(f"head/arm_cls{i}", c, 2 * A, 3, bn=False, act="none"))
-            self.arm_reg.append(ConvUnit(f"head/arm_reg{i}", c, 4 * A, 3, bn=False, act="none"))
-            self.intermediates.append(
-                intermediate_block(spec.backbone, f"head/interm{i}", c, interm_depth)
-            )
-            self.tcb.append(TCBLevel(f"head/tcb{i}", interm_depth, depth, has_top_down=i < 3))
-            self.odm_cls.append(ConvUnit(f"head/odm_cls{i}", depth, (C + 1) * A, 3, bn=False, act="none"))
-            self.odm_reg.append(ConvUnit(f"head/odm_reg{i}", depth, 4 * A, 3, bn=False, act="none"))
+        def predictors(name, c_ins, k):
+            """One 3x3 prediction conv per level: k values for each of the A anchors."""
+            return [ConvUnit(f"head/{name}{i}", c, k * A, 3, bn=False, act="none")
+                    for i, c in enumerate(c_ins)]
+
+        c_ins = [c for _, c, _ in pyramid]
+        self.arm_cls = predictors("arm_cls", c_ins, 2)
+        self.arm_reg = predictors("arm_reg", c_ins, 4)
+        self.intermediates = [intermediate_block(spec.backbone, f"head/interm{i}", c, interm_depth)
+                              for i, c in enumerate(c_ins)]
+        self.tcb = [TCBLevel(f"head/tcb{i}", interm_depth, depth, has_top_down=i < 3)
+                    for i in range(len(pyramid))]
+        self.odm_cls = predictors("odm_cls", [depth] * 4, spec.num_classes + 1)
+        self.odm_reg = predictors("odm_reg", [depth] * 4, 4)
 
         self.weights = None
         self.notes = self._build_notes()
@@ -246,31 +242,19 @@ class DetectionModel:
         notes.append(
             f"realized head widths: tcb {self.tcb_depth_realized}, intermediate {self.interm_depth_realized}"
         )
-        cards = []
-        for stage in self.backbone.stages:
-            layer = stage.layer
-            if isinstance(layer, ResNeXtBlock) and layer.cardinality != CARDINALITY:
-                cards.append(f"{stage.name}={layer.cardinality}")
-        for blk in self.intermediates:
-            if isinstance(blk, ResNeXtBlock) and blk.cardinality != CARDINALITY:
-                cards.append(f"{blk.name}={blk.cardinality}")
+        blocks = [(stage.name, stage.layer) for stage in self.backbone.stages]
+        blocks += [(blk.name, blk) for blk in self.intermediates]
+        cards = [f"{name}={blk.cardinality}" for name, blk in blocks
+                 if isinstance(blk, ResNeXtBlock) and blk.cardinality != CARDINALITY]
         if cards:
             notes.append("group-conv cardinality fallback: " + ", ".join(cards))
         return notes
 
     def weight_manifest(self):
-        decls = list(self.backbone.decls())
-        for lvl in sorted(self.l2norms):
-            decls.extend(self.l2norms[lvl].decls())
-        for unit in self.arm_cls + self.arm_reg:
-            decls.extend(unit.decls())
-        for blk in self.intermediates:
-            decls.extend(blk.decls())
-        for level in self.tcb:
-            decls.extend(level.decls())
-        for unit in self.odm_cls + self.odm_reg:
-            decls.extend(unit.decls())
-        return decls
+        units = [self.backbone, *(self.l2norms[lvl] for lvl in sorted(self.l2norms)),
+                 *self.arm_cls, *self.arm_reg, *self.intermediates, *self.tcb,
+                 *self.odm_cls, *self.odm_reg]
+        return [d for unit in units for d in unit.decls()]
 
     def param_count(self):
         """Trainable tensor elements (running statistics excluded)."""
@@ -301,15 +285,19 @@ class DetectionModel:
         wb = self.weights
         A = len(self.anchors.ratios)
 
+        def predict(cls_units, reg_units, maps):
+            """Both prediction convs of one branch, each flattened to (n, anchors, k)."""
+            return tuple(flatten_predictions([u.forward(f, wb) for u, f in zip(units, maps)],
+                                             A, units[0].c_out // A)
+                         for units in (cls_units, reg_units))
+
         with pp.span(timer, "backbone"):
             feats = self.backbone.forward(x, wb)
             for lvl, unit in self.l2norms.items():
                 feats[lvl] = unit.forward(feats[lvl], wb)
 
         with pp.span(timer, "arm_head"):
-            arm_obj = flatten_predictions([u.forward(f, wb) for u, f in zip(self.arm_cls, feats)], A, 2)
-            arm_deltas = flatten_predictions([u.forward(f, wb) for u, f in zip(self.arm_reg, feats)],
-                                             A, 4)
+            arm_obj, arm_deltas = predict(self.arm_cls, self.arm_reg, feats)
 
         with pp.span(timer, "tcb"):
             laterals = [blk.forward(f, wb) for blk, f in zip(self.intermediates, feats)]
@@ -318,10 +306,7 @@ class DetectionModel:
                 fused[i] = top_down = self.tcb[i].fuse(laterals[i], top_down, wb)
 
         with pp.span(timer, "odm_head"):
-            odm_cls = flatten_predictions([u.forward(f, wb) for u, f in zip(self.odm_cls, fused)],
-                                          A, self.spec.num_classes + 1)
-            odm_deltas = flatten_predictions([u.forward(f, wb) for u, f in zip(self.odm_reg, fused)],
-                                             A, 4)
+            odm_cls, odm_deltas = predict(self.odm_cls, self.odm_reg, fused)
 
         if arm_obj.shape[1] != len(self.anchors):
             raise RuntimeError(

@@ -585,17 +585,42 @@ def pipeline(arm_obj_logits, arm_deltas, odm_cls_logits, odm_deltas, anchors,
 # detection records on disk
 
 
-def write_detections(path, by_image):
-    """Write line records: image_id,class_id,x_min,y_min,width,height,score."""
+def _check_image_id(image_id):
+    """Refuse an image id that `read_records` would not give back unchanged."""
+    if not isinstance(image_id, str):
+        problem = f"is {type(image_id).__name__}, not str"
+    elif "," in image_id:
+        problem = "holds a comma"
+    elif image_id != image_id.strip():
+        problem = "has leading or trailing whitespace"
+    elif len(image_id.splitlines()) > 1:
+        problem = "holds a line break"
+    elif image_id.startswith("#"):
+        problem = "starts with '#'"
+    else:
+        return
+    raise ValueError(f"image id {image_id!r} {problem}; it cannot be written to a record file")
+
+
+def write_records(path, by_image, last_field):
+    """Write one line `image_id,class_id,x_min,y_min,width,height<last>` per
+    box, images in sorted order; `last_field(item, i)` gives box i's trailing
+    text (its leading comma included).  Every image id is checked before the
+    file is opened."""
+    for image_id in by_image:
+        _check_image_id(image_id)
     with open(path, "w", encoding="utf-8") as f:
         for image_id in sorted(by_image):
-            dets = by_image[image_id]
-            for i in range(len(dets)):
-                x0, y0, x1, y1 = (float(v) for v in dets.boxes[i])
-                f.write(
-                    f"{image_id},{int(dets.class_ids[i])},{x0!r},{y0!r},"
-                    f"{(x1 - x0)!r},{(y1 - y0)!r},{float(dets.scores[i])!r}\n"
-                )
+            item = by_image[image_id]
+            for i in range(len(item)):
+                x0, y0, x1, y1 = (float(v) for v in item.boxes[i])
+                f.write(f"{image_id},{int(item.class_ids[i])},{x0!r},{y0!r},"
+                        f"{(x1 - x0)!r},{(y1 - y0)!r}{last_field(item, i)}\n")
+
+
+def write_detections(path, by_image):
+    """Write line records: image_id,class_id,x_min,y_min,width,height,score."""
+    write_records(path, by_image, lambda dets, i: f",{float(dets.scores[i])!r}")
 
 
 def _record_columns(records, ignore_flag):

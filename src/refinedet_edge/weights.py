@@ -142,7 +142,17 @@ def gaussian_values(bundle, decls):
 
 
 def save_wts(path, bundle, model_name=""):
-    """Write a bundle: text manifest, digest, then the raw float32 stream."""
+    """Write a bundle: text manifest, digest, then the raw float32 stream.
+
+    A model name with a line break or surrounding whitespace, or a tensor
+    name that is empty or holds whitespace, would not read back unchanged:
+    it raises ValueError before anything is written.
+    """
+    if model_name != model_name.strip() or len(model_name.splitlines()) > 1:
+        raise ValueError(f"model name {model_name!r} has a line break or surrounding whitespace")
+    for name in bundle.names():
+        if not name or any(c.isspace() for c in name):
+            raise ValueError(f"tensor name {name!r} is empty or holds whitespace")
     blob = bundle.to_bytes()
     digest = sha256_64(blob)
     lines = [

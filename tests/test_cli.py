@@ -269,6 +269,18 @@ def test_report_rejects_impossible_values(tmp_path, capsys, edit, fragment):
     assert err.startswith("error: not a profile report: ") and fragment in err
 
 
+def test_report_reads_past_a_byte_order_mark(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    assert cli.main(["bench", str(write_cfg(tmp_path)), "--runs", "3", "--warmup", "1",
+                     "--json", str(path)]) == 0
+    capsys.readouterr()
+    assert cli.main(["report", str(path)]) == 0
+    plain = capsys.readouterr().out
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert cli.main(["report", str(path)]) == 0
+    assert capsys.readouterr().out == plain
+
+
 # ---------------------------------------------------------------------------
 # sweep
 

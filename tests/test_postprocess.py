@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+from refinedet_edge import evaluate as ev
 from refinedet_edge import postprocess as pp
 from oracles import (
     apply_deltas_gold, decode_gold, iou_gold, nms_gold, nms_iou_evals_gold,
@@ -889,6 +890,51 @@ def test_detection_file_round_trip(tmp_path):
         np.testing.assert_allclose(back[key].boxes, by_image[key].boxes, atol=1e-5)
         np.testing.assert_array_equal(back[key].scores, by_image[key].scores)
         np.testing.assert_array_equal(back[key].class_ids, by_image[key].class_ids)
+
+
+def _ground_truth(dets):
+    return ev.GroundTruth(boxes=dets.boxes, class_ids=dets.class_ids.astype(np.int64),
+                          ignore=np.arange(len(dets)) % 2 == 0)
+
+
+RECORD_FILES = {
+    "detections": (pp.write_detections, pp.read_detections, lambda d: d),
+    "ground-truth": (ev.write_ground_truth, ev.read_ground_truth, _ground_truth),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(RECORD_FILES))
+@pytest.mark.parametrize("image_id, problem", [
+    ("#cam-1", "starts with '#'"),
+    ("a,b", "holds a comma"),
+    ("a\nb", "holds a line break"),
+    ("a\rb", "holds a line break"),
+    (" cam", "has leading or trailing whitespace"),
+    ("cam\t", "has leading or trailing whitespace"),
+    (7, "is int, not str"),
+], ids=["hash", "comma", "newline", "carriage-return", "leading-space", "trailing-tab", "int"])
+def test_record_writers_refuse_ids_the_reader_would_change(tmp_path, kind, image_id, problem):
+    write, _, convert = RECORD_FILES[kind]
+    rng = np.random.default_rng(5)
+    path = tmp_path / "records.csv"
+    items = {"ok": convert(random_dets(rng, 2)), image_id: convert(random_dets(rng, 2))}
+    with pytest.raises(ValueError, match=re.escape(f"image id {image_id!r} {problem}")):
+        write(path, items)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("kind", sorted(RECORD_FILES))
+def test_record_writers_round_trip_legal_ids(tmp_path, kind):
+    write, read, convert = RECORD_FILES[kind]
+    rng = np.random.default_rng(6)
+    items = {image_id: convert(random_dets(rng, 3)) for image_id in ("cam 1", "", "a#b", "réglage")}
+    path = tmp_path / "records.csv"
+    write(path, items)
+    back = read(path)
+    assert sorted(back) == sorted(items)
+    for image_id, item in items.items():
+        np.testing.assert_allclose(back[image_id].boxes, item.boxes, atol=1e-5)
+        np.testing.assert_array_equal(back[image_id].class_ids, item.class_ids)
 
 
 def test_detection_file_rejects_malformed(tmp_path):

@@ -119,6 +119,20 @@ def test_wts_round_trip(tmp_path):
         np.testing.assert_array_equal(loaded[n], bundle[n])
 
 
+@pytest.mark.parametrize("model_name, tensor_name, problem", [
+    ("a\nb", "t", "model name 'a\\nb' has a line break"),
+    (" toy", "t", "model name ' toy' has a line break or surrounding whitespace"),
+    ("toy", "", "tensor name '' is empty"),
+    ("toy", "conv 1/w", "tensor name 'conv 1/w' is empty or holds whitespace"),
+], ids=["model-newline", "model-space", "empty-tensor", "tensor-space"])
+def test_save_wts_refuses_a_header_it_cannot_write(tmp_path, model_name, tensor_name, problem):
+    path = tmp_path / "model.wts"
+    bundle = W.WeightBundle([(tensor_name, np.zeros(3, np.float32))])
+    with pytest.raises(ValueError, match=re.escape(problem)):
+        W.save_wts(path, bundle, model_name)
+    assert not path.exists()
+
+
 def test_wts_header_is_text_then_blob(tmp_path):
     bundle = W.init_from_decls(decls(), seed=7)
     path = tmp_path / "model.wts"
