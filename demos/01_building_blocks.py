@@ -13,7 +13,6 @@ from refinedet_edge.blocks import (
     effective_cardinality,
     scaled,
 )
-from refinedet_edge.tensor_ops import ConvParams, param_count
 from refinedet_edge.weights import init_from_decls
 
 rng = np.random.default_rng(1)
@@ -25,9 +24,14 @@ rng = np.random.default_rng(1)
 # it into a depthwise 3x3 (one filter per channel) plus a pointwise 1x1 keeps
 # the same receptive field at a fraction of the size.
 
-standard = param_count(16, 32, ConvParams(3, padding=1))
-depthwise = param_count(16, 16, ConvParams(3, padding=1, groups=16))
-pointwise = param_count(16, 32, ConvParams(1))
+def kernel_weights(c_in, c_out, kernel, groups=1):
+    """Declared size of a ConvUnit's weight tensor: c_out * (c_in/groups) * k * k."""
+    return ConvUnit("probe", c_in, c_out, kernel, groups=groups).decls()[0].size
+
+
+standard = kernel_weights(16, 32, 3)
+depthwise = kernel_weights(16, 16, 3, groups=16)
+pointwise = kernel_weights(16, 32, 1)
 
 print("parameter arithmetic, 16 -> 32 channels, 3x3 receptive field")
 print(f"  standard conv:            {standard:5d} weights")
@@ -38,7 +42,7 @@ print()
 # Grouped convolutions sit between the two extremes.
 print("grouped 3x3, 32 -> 32 channels:")
 for g in (1, 2, 4, 8, 32):
-    n = param_count(32, 32, ConvParams(3, padding=1, groups=g))
+    n = kernel_weights(32, 32, 3, groups=g)
     print(f"  groups={g:<3d} -> {n:5d} weights")
 print()
 

@@ -60,6 +60,8 @@ class ConvUnit:
             raise ValueError(f"unknown activation {act!r}")
         if not isinstance(kernel, int):
             raise ValueError(f"{name}: kernel must be one int, got {kernel!r}")
+        if c_in % groups or c_out % groups:
+            raise ValueError(f"{name}: groups={groups} does not divide channels {c_in} -> {c_out}")
         self.name = name
         self.c_in = c_in
         self.c_out = c_out

@@ -125,7 +125,7 @@ def _cmd_eval(args):
 
 
 def _cmd_report(args):
-    with open(args.report, encoding="utf-8-sig") as f:
+    with pp.open_text(args.report) as f:
         report = prof.ProfileReport.from_json(f.read())
     sys.stdout.write(prof.render_report(report, fmt=args.format, strip_timings=args.strip_timings))
     return 0

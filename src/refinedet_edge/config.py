@@ -17,7 +17,7 @@ import os
 import re
 
 from .blocks import BACKBONE_NAMES, PYRAMID_STRIDES
-from .postprocess import CAP_SCOPES, DEFAULT_IOU_THRESH, DEFAULT_NEG_THRESH, NmsParams
+from .postprocess import CAP_SCOPES, DEFAULT_IOU_THRESH, DEFAULT_NEG_THRESH, NmsParams, open_text
 
 log = logging.getLogger(__name__)
 
@@ -173,7 +173,7 @@ def parse(text, strict=True, source="<config>"):
 
 
 def parse_file(path, strict=True):
-    with open(path, encoding="utf-8-sig") as f:
+    with open_text(path) as f:
         text = f.read()
     return parse(text, strict=strict, source=os.fspath(path))
 

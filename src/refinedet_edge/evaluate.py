@@ -164,7 +164,7 @@ def coco_map(detections, gts, thresholds=COCO_THRESHOLDS):
 
 def write_ground_truth(path, gts):
     """Write records: image_id,class_id,x_min,y_min,width,height[,ignore]."""
-    write_records(path, gts, lambda gt, i: ",1" if gt.ignore[i] else "")
+    write_records(path, gts, lambda gt, i: 1 if gt.ignore[i] else None)
 
 
 def read_ground_truth(path):

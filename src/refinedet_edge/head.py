@@ -58,6 +58,8 @@ def generate_anchors(input_size, strides=PYRAMID_STRIDES, scales=None, ratios=(0
 
     Regenerating with identical arguments yields a bit-identical grid.
     """
+    if input_size < 1:
+        raise ValueError(f"input_size must be >= 1, got {input_size}")
     strides = tuple(int(s) for s in strides)
     ratios = tuple(float(r) for r in ratios)
     if not strides:

@@ -16,8 +16,9 @@ anchors whose largest class probability can reach conf_thresh, found from
 each row's largest and smallest logit (`can_reach`).
 """
 
+import math
 import numbers
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,7 +40,7 @@ class NmsParams:
     def __post_init__(self):
         for name in ("max_input", "max_output"):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Integral):
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an integer, got {value}")
             if value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value}")
@@ -597,30 +598,67 @@ def _check_image_id(image_id):
         problem = "holds a line break"
     elif image_id.startswith("#"):
         problem = "starts with '#'"
+    elif not _encodes_as_utf8(image_id):
+        problem = "is not encodable as UTF-8"
     else:
         return
     raise ValueError(f"image id {image_id!r} {problem}; it cannot be written to a record file")
 
 
-def write_records(path, by_image, last_field):
-    """Write one line `image_id,class_id,x_min,y_min,width,height<last>` per
-    box, images in sorted order; `last_field(item, i)` gives box i's trailing
-    text (its leading comma included).  Every image id is checked before the
-    file is opened."""
+def _encodes_as_utf8(text):
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
+@contextmanager
+def open_text(path):
+    """Open `path` as UTF-8 text, a leading byte-order mark skipped.  A byte
+    that is not UTF-8 raises ValueError naming `path` when it is read."""
+    try:
+        with open(path, encoding="utf-8-sig") as f:
+            yield f
+    except UnicodeDecodeError as e:
+        raise ValueError(f"{path}: not UTF-8 text: cannot decode byte "
+                         f"{e.object[e.start]:#04x} ({e.reason})") from None
+
+
+def write_records(path, by_image, last_value):
+    """Write one line `image_id,class_id,x_min,y_min,width,height[,last]` per
+    box, images in sorted order; `last_value(item, i)` gives box i's last
+    field, or None for none.
+
+    An image id, a box or a last value that `read_records` would refuse (a
+    NaN or inf, a negative width or height) raises ValueError naming the
+    image.  The whole text is built and encoded before the file is opened,
+    so a refused input leaves no file behind, and an existing one unchanged.
+    """
     for image_id in by_image:
         _check_image_id(image_id)
-    with open(path, "w", encoding="utf-8") as f:
-        for image_id in sorted(by_image):
-            item = by_image[image_id]
-            for i in range(len(item)):
-                x0, y0, x1, y1 = (float(v) for v in item.boxes[i])
-                f.write(f"{image_id},{int(item.class_ids[i])},{x0!r},{y0!r},"
-                        f"{(x1 - x0)!r},{(y1 - y0)!r}{last_field(item, i)}\n")
+    lines = []
+    for image_id in sorted(by_image):
+        item = by_image[image_id]
+        for i in range(len(item)):
+            x0, y0, x1, y1 = (float(v) for v in item.boxes[i])
+            w, h, last = x1 - x0, y1 - y0, last_value(item, i)
+            if not all(map(math.isfinite, (x0, y0, w, h, 0.0 if last is None else last))):
+                raise ValueError(f"image {image_id!r}, box {i}: a NaN or inf "
+                                 "cannot be written to a record file")
+            if w < 0 or h < 0:
+                raise ValueError(f"image {image_id!r}, box {i}: a negative width or height "
+                                 "cannot be written to a record file")
+            tail = "" if last is None else f",{last!r}"
+            lines.append(f"{image_id},{int(item.class_ids[i])},{x0!r},{y0!r},{w!r},{h!r}{tail}\n")
+    data = "".join(lines).encode("utf-8")
+    with open(path, "wb") as f:
+        f.write(data)
 
 
 def write_detections(path, by_image):
     """Write line records: image_id,class_id,x_min,y_min,width,height,score."""
-    write_records(path, by_image, lambda dets, i: f",{float(dets.scores[i])!r}")
+    write_records(path, by_image, lambda dets, i: float(dets.scores[i]))
 
 
 def _record_columns(records, ignore_flag):
@@ -646,7 +684,7 @@ def read_records(path, ignore_flag=False):
     line is looked up only when that fails.
     """
     counts = (6, 7) if ignore_flag else (7,)
-    with open(path, encoding="utf-8-sig") as f:
+    with open_text(path) as f:
         lines = [(n, line.split(",")) for n, line in enumerate(map(str.strip, f), 1)
                  if line and not line.startswith("#")]
     for n, r in lines:

@@ -372,26 +372,3 @@ def global_avg_pool(x):
     x = check_feature_map(x)
     return x.astype(np.float64).mean(axis=(2, 3), keepdims=True).astype(np.float32)
 
-
-def param_count(c_in, c_out, params, bias=False, bn=False):
-    """Weight-tensor element count of one convolution layer.
-
-    Counts c_out * (c_in/groups) * kh * kw kernel weights, plus c_out bias
-    terms or 2*c_out batch-norm affine terms.  A layer has one or the other
-    (blocks.ConvUnit), never both.  Running statistics are not parameters
-    and are never counted.
-    """
-    if bias and bn:
-        raise ValueError("a batch-norm layer has no bias: batch-norm folds it into its shift (beta)")
-    g = params.groups
-    if c_in % g != 0:
-        raise ValueError(f"groups={g} does not divide input channels {c_in}")
-    if c_out % g != 0:
-        raise ValueError(f"groups={g} does not divide output channels {c_out}")
-    kh, kw = params.kernel
-    total = c_out * (c_in // g) * kh * kw
-    if bias:
-        total += c_out
-    if bn:
-        total += 2 * c_out
-    return total

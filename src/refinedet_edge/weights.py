@@ -132,15 +132,6 @@ def init_from_decls(decls, seed, sigma=0.01):
     return WeightBundle(tensors)
 
 
-def gaussian_values(bundle, decls):
-    """Concatenate the values of Gaussian-initialized tensors (for stats)."""
-    gaussian_names = {d.name for d in decls if d.const is None}
-    parts = [a.ravel() for n, a in bundle.items() if n in gaussian_names]
-    if not parts:
-        return np.zeros(0, dtype=np.float32)
-    return np.concatenate(parts)
-
-
 def save_wts(path, bundle, model_name=""):
     """Write a bundle: text manifest, digest, then the raw float32 stream.
 

@@ -14,10 +14,9 @@ from refinedet_edge import config as C
 from refinedet_edge import evaluate as ev
 from refinedet_edge import postprocess as pp
 from refinedet_edge import profiler as P
-from refinedet_edge.blocks import BACKBONE_NAMES
+from refinedet_edge.blocks import BACKBONE_NAMES, ConvUnit
 from refinedet_edge.head import assemble_model, build_model, generate_anchors
-from refinedet_edge.tensor_ops import ConvParams, conv2d, deconv2d, param_count
-from refinedet_edge.weights import gaussian_values
+from refinedet_edge.tensor_ops import ConvParams, conv2d, deconv2d
 
 from conftest import ACCEPTANCE_LINES
 from oracles import anchors_gold, conv2d_gold, deconv2d_gold, nms_gold
@@ -189,9 +188,9 @@ def _run_conv_case(rng, groups):
 
 def test_04_parameter_counts():
     with criterion(4, "656 vs 4608 closed forms; slim head is smaller everywhere") as info:
-        depthwise = param_count(16, 16, ConvParams(3, padding=1, groups=16))
-        pointwise = param_count(16, 32, ConvParams(1))
-        standard = param_count(16, 32, ConvParams(3, padding=1))
+        depthwise = ConvUnit("dw", 16, 16, 3, groups=16).decls()[0].size
+        pointwise = ConvUnit("pw", 16, 32, 1).decls()[0].size
+        standard = ConvUnit("std", 16, 32, 3).decls()[0].size
         assert depthwise + pointwise == 656
         assert standard == 4608
 
@@ -378,7 +377,8 @@ def test_08_fixture_round_trip_and_init():
 
         spec = C.ModelSpec(name="sigma-probe", backbone="vgg16", head_depth=256)
         model = build_model(spec)
-        sample = gaussian_values(model.weights, model.weight_manifest())
+        sample = np.concatenate([model.weights[d.name].ravel()
+                                 for d in model.weight_manifest() if d.const is None])
         assert sample.size >= 10**5
         sigma = float(sample.astype(np.float64).std())
         assert abs(sigma - 0.01) <= 0.02 * 0.01, sigma

@@ -127,6 +127,22 @@ def test_conv_unit_takes_one_int_kernel():
         B.ConvUnit("stage/u", 4, 4, (1, 3))
 
 
+def test_conv_unit_declared_parameter_count():
+    def trainable(unit):
+        return sum(d.size for d in unit.decls() if d.trainable)
+
+    # plain 3x3, 16 -> 32, bias: 32*16*9 + 32
+    assert trainable(B.ConvUnit("u", 16, 32, 3, bn=False)) == 32 * 16 * 9 + 32
+    # depthwise 3x3 over 64 channels with bn: 64*1*9 + 2*64 (running stats are not counted)
+    assert trainable(B.ConvUnit("u", 64, 64, 3, groups=64)) == 64 * 9 + 128
+    # grouped: 32 groups, 128 -> 256: 256*(128/32)*9 weights
+    assert B.ConvUnit("u", 128, 256, 3, groups=32).decls()[0].size == 256 * 4 * 9
+    with pytest.raises(ValueError, match=r"^stage/u: groups=4 does not divide channels 10 -> 4$"):
+        B.ConvUnit("stage/u", 10, 4, 1, groups=4)
+    with pytest.raises(ValueError, match="groups=4 does not divide channels 8 -> 6"):
+        B.ConvUnit("u", 8, 6, 1, groups=4)
+
+
 def test_conv_unit_bias_no_bn():
     rng = np.random.default_rng(2)
     unit = B.ConvUnit("u", 4, 2, 1, bn=False, act="none")

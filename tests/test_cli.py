@@ -281,6 +281,14 @@ def test_report_reads_past_a_byte_order_mark(tmp_path, capsys):
     assert capsys.readouterr().out == plain
 
 
+def test_report_names_a_file_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    path.write_bytes(b'{"runs": "\xff"}')
+    assert cli.main(["report", str(path)]) == 3
+    assert capsys.readouterr().err == (f"error: {path}: not UTF-8 text: "
+                                       "cannot decode byte 0xff (invalid start byte)\n")
+
+
 # ---------------------------------------------------------------------------
 # sweep
 
@@ -381,6 +389,15 @@ def test_eval_bad_record_exits_3(tmp_path, capsys, which, record):
     path.write_text(path.read_text() + record + "\n")
     assert cli.main(["eval", str(dpath), str(gpath)]) == 3
     assert f"{path}:3: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("which", [0, 1], ids=["detections", "ground-truth"])
+def test_eval_names_the_file_that_is_not_utf8(tmp_path, capsys, which):
+    paths = eval_files(tmp_path)
+    paths[which].write_bytes(paths[which].read_bytes() + b"img-\xff,1,0,0,1,1,0\n")
+    assert cli.main(["eval", *map(str, paths)]) == 3
+    assert capsys.readouterr().err == (f"error: {paths[which]}: not UTF-8 text: "
+                                       "cannot decode byte 0xff (invalid start byte)\n")
 
 
 # ---------------------------------------------------------------------------

@@ -180,6 +180,14 @@ def test_parse_file_reads_past_a_byte_order_mark(tmp_path):
     assert C.parse_file(path) == C.parse(BASIC)
 
 
+def test_parse_file_names_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "m.cfg"
+    path.write_bytes(BASIC.encode() + b"# caf\xe9\n")
+    with pytest.raises(ValueError) as info:
+        C.parse_file(path)
+    assert str(info.value) == f"{path}: not UTF-8 text: cannot decode byte 0xe9 (invalid continuation byte)"
+
+
 def test_write_config_round_trip(tmp_path):
     spec = C.ModelSpec(name="rRefineDet512", backbone="xception",
                        input_size=512, head_depth=128, width_multiplier=0.5)

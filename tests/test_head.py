@@ -64,6 +64,12 @@ def test_anchor_regeneration_is_bit_identical():
     assert np.array_equal(a.boxes, b.boxes)
 
 
+@pytest.mark.parametrize("size", [0, -64])
+def test_anchors_refuse_an_input_size_below_one(size):
+    with pytest.raises(ValueError, match=f"^input_size must be >= 1, got {size}$"):
+        H.generate_anchors(size)
+
+
 def test_anchor_validation():
     with pytest.raises(ValueError, match="not divisible"):
         H.generate_anchors(300)  # 300 % 64 != 0

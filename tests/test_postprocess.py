@@ -472,6 +472,8 @@ def test_nms_params_validation():
     ((400, 2.5, 0.1), "max_output must be an integer, got 2.5"),
     ((np.float64(10), 10, 0.1), "max_input must be an integer, got 10.0"),
     (("400", 200, 0.1), "max_input must be an integer, got 400"),
+    ((True, 200, 0.1), "max_input must be an integer, got True"),
+    ((400, False, 0.1), "max_output must be an integer, got False"),
 ])
 def test_nms_params_refuses_non_integer_budgets(args, message):
     # a float budget would fail later, as a slice index in nms_greedy
@@ -912,7 +914,8 @@ RECORD_FILES = {
     (" cam", "has leading or trailing whitespace"),
     ("cam\t", "has leading or trailing whitespace"),
     (7, "is int, not str"),
-], ids=["hash", "comma", "newline", "carriage-return", "leading-space", "trailing-tab", "int"])
+    ("b\udc80", "is not encodable as UTF-8"),
+], ids=["hash", "comma", "newline", "carriage-return", "leading-space", "trailing-tab", "int", "unencodable"])
 def test_record_writers_refuse_ids_the_reader_would_change(tmp_path, kind, image_id, problem):
     write, _, convert = RECORD_FILES[kind]
     rng = np.random.default_rng(5)
@@ -935,6 +938,64 @@ def test_record_writers_round_trip_legal_ids(tmp_path, kind):
     for image_id, item in items.items():
         np.testing.assert_allclose(back[image_id].boxes, item.boxes, atol=1e-5)
         np.testing.assert_array_equal(back[image_id].class_ids, item.class_ids)
+
+
+def _boxes(*rows):
+    return np.array(rows, dtype=np.float32)
+
+
+BAD_RECORDS = {
+    "negative-width": (_boxes([0, 0, 1, 1], [5, 0, 4, 1]), (0.5, 0.5), "box 1: a negative width or height"),
+    "nan-box": (_boxes([0, 0, 1, 1], [0, 0, 1, np.nan]), (0.5, 0.5), "box 1: a NaN or inf"),
+    "nan-score": (_boxes([0, 0, 1, 1], [0, 0, 1, 1]), (0.5, np.nan), "box 1: a NaN or inf"),
+}
+
+
+# ground truth has no score column, so only detections can carry a NaN score
+@pytest.mark.parametrize("kind, case", [(kind, case) for kind in sorted(RECORD_FILES) for case in BAD_RECORDS
+                                        if (kind, case) != ("ground-truth", "nan-score")])
+def test_record_writers_refuse_values_the_reader_would_refuse(tmp_path, kind, case):
+    write, read, convert = RECORD_FILES[kind]
+    boxes, scores, problem = BAD_RECORDS[case]
+    rng = np.random.default_rng(8)
+    bad = pp.DetectionSet(boxes, np.array(scores, np.float32), np.ones(len(scores), np.int32))
+    items = {"a": convert(random_dets(rng, 2)), "b": convert(bad)}
+    path = tmp_path / "records.csv"
+    with pytest.raises(ValueError, match=re.escape(problem)):
+        write(path, items)
+    assert not path.exists()
+    # an existing file is left as it was
+    write(path, {"a": items["a"]})
+    before = path.read_bytes()
+    with pytest.raises(ValueError, match=re.escape(problem)):
+        write(path, items)
+    assert path.read_bytes() == before
+    assert list(read(path)) == ["a"]
+
+
+def test_record_writers_keep_their_line_format(tmp_path):
+    dets = pp.DetectionSet(_boxes([1, 2, 4, 6], [0.5, 0.25, 0.75, 1]), np.array([0.5, 0.1], np.float32),
+                           np.array([3, 1], np.int32))
+    path = tmp_path / "records.csv"
+    pp.write_detections(path, {"img-2": dets, "img-1": dets})
+    assert path.read_bytes() == (b"img-1,3,1.0,2.0,3.0,4.0,0.5\n"
+                                 b"img-1,1,0.5,0.25,0.25,0.75,0.10000000149011612\n"
+                                 b"img-2,3,1.0,2.0,3.0,4.0,0.5\n"
+                                 b"img-2,1,0.5,0.25,0.25,0.75,0.10000000149011612\n")
+    ev.write_ground_truth(path, {"r\u00e9": _ground_truth(dets)})
+    assert path.read_bytes() == ("r\u00e9,3,1.0,2.0,3.0,4.0,1\n"
+                                 "r\u00e9,1,0.5,0.25,0.25,0.75\n").encode("utf-8")
+
+
+@pytest.mark.parametrize("kind", sorted(RECORD_FILES))
+def test_record_readers_name_a_file_that_is_not_utf8(tmp_path, kind):
+    write, read, convert = RECORD_FILES[kind]
+    path = tmp_path / "records.csv"
+    write(path, {"a": convert(random_dets(np.random.default_rng(9), 2))})
+    path.write_bytes(path.read_bytes() + b"b\xff,1,0,0,1,1,0\n")
+    with pytest.raises(ValueError) as info:
+        read(path)
+    assert str(info.value) == f"{path}: not UTF-8 text: cannot decode byte 0xff (invalid start byte)"
 
 
 def test_detection_file_rejects_malformed(tmp_path):

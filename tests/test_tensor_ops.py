@@ -410,24 +410,6 @@ def test_elementwise_add_rejects_mismatch():
         T.elementwise_add(np.zeros((1, 2)), np.zeros((2, 1)))
 
 
-# ---------------------------------------------------------------------------
-# bookkeeping
-
-
-def test_param_count_hand_cases():
-    # plain 3x3, 16 -> 32, bias: 32*16*9 + 32
-    assert T.param_count(16, 32, T.ConvParams(3), bias=True) == 32 * 16 * 9 + 32
-    # depthwise 3x3 over 64 channels with bn: 64*1*9 + 2*64
-    assert T.param_count(64, 64, T.ConvParams(3, groups=64), bn=True) == 64 * 9 + 128
-    # grouped: 32 groups, 128 -> 256: 256*(128/32)*9
-    assert T.param_count(128, 256, T.ConvParams(3, groups=32)) == 256 * 4 * 9
-    with pytest.raises(ValueError):
-        T.param_count(10, 4, T.ConvParams(1, groups=4))
-    # a batch-norm layer folds its bias into the shift: there is no layer with both
-    with pytest.raises(ValueError, match="batch-norm folds it into its shift"):
-        T.param_count(16, 32, T.ConvParams(3), bias=True, bn=True)
-
-
 def test_conv_params_validation():
     with pytest.raises(ValueError, match="kernel must be positive"):
         T.ConvParams(0)
