@@ -288,10 +288,19 @@ class DetectionModel:
         A = len(self.anchors.ratios)
 
         def predict(cls_units, reg_units, maps):
-            """Both prediction convs of one branch, each flattened to (n, anchors, k)."""
-            return tuple(flatten_predictions([u.forward(f, wb) for u, f in zip(units, maps)],
-                                             A, units[0].c_out // A)
-                         for units in (cls_units, reg_units))
+            """Both prediction convs of one branch, each flattened to (n, anchors, k).
+
+            A level's two convs read the same map, so they run as one
+            `conv2d` over their weights and biases concatenated along c_out
+            (one im2col, one GEMM), and each head takes its channel slice.
+            The outputs equal two separate calls' byte for byte.
+            """
+            ys = [T.conv2d(f, np.concatenate([wb[f"{c.name}/w"], wb[f"{r.name}/w"]], dtype=np.float64),
+                           np.concatenate([wb[f"{c.name}/b"], wb[f"{r.name}/b"]]), c.params)
+                  for c, r, f in zip(cls_units, reg_units, maps)]
+            k = cls_units[0].c_out
+            return (flatten_predictions([y[:, :k] for y in ys], A, k // A),
+                    flatten_predictions([y[:, k:] for y in ys], A, reg_units[0].c_out // A))
 
         with pp.span(timer, "backbone"):
             feats = self.backbone.forward(x, wb)

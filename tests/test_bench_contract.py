@@ -77,13 +77,19 @@ def test_layers_look_kernels_up_at_call_time(kind, monkeypatch):
     # layer holding its own reference to a kernel (an imported name, or a
     # function stored at construction) would bypass it and zero the conv
     # metrics.  Batch-norm is folded into each conv2d call, so the
-    # standalone kernel runs no more.
+    # standalone kernel runs no more.  Each level's cls and reg prediction
+    # convs run as one call over concatenated weights (4 levels x 2 heads),
+    # so the recorded output channels, not the calls, match the declarations
+    # one to one: a declared conv that never ran would show in their sum.
     model = build_model(ModelSpec(backbone=kind, input_size=64, width_multiplier=0.0625,
                                   num_classes=4))
     calls = {"conv2d": 0, "batch_norm_inference": 0}
+    c_outs = []
     for name in calls:
         def counted(*args, _real=getattr(tensor_ops, name), _name=name, **kwargs):
             calls[_name] += 1
+            if _name == "conv2d":
+                c_outs.append(args[1].shape[0])
             return _real(*args, **kwargs)
         monkeypatch.setattr(tensor_ops, name, counted)
     model.forward(np.random.default_rng(0).random((1, 3, 64, 64), dtype=np.float32))
@@ -91,4 +97,5 @@ def test_layers_look_kernels_up_at_call_time(kind, monkeypatch):
     convs = [d for d in decls
              if d.name.endswith("/w") and len(d.shape) == 4 and "/up/" not in d.name]
     assert any(d.name.endswith("/bn_gamma") for d in decls)
-    assert calls == {"conv2d": len(convs), "batch_norm_inference": 0}
+    assert calls == {"conv2d": len(convs) - 8, "batch_norm_inference": 0}
+    assert sum(c_outs) == sum(d.shape[0] for d in convs)

@@ -303,6 +303,33 @@ def test_model_forward_bytes_are_pinned(kind, head_depth, width):
     assert h.hexdigest() == FORWARD_DIGESTS[kind, head_depth, width]
 
 
+@pytest.mark.parametrize("kind, n", [(kind, 1) for kind in BACKBONE_NAMES] + [("vgg16", 2)])
+def test_paired_prediction_convs_equal_one_call_per_unit(kind, n):
+    # forward runs each level's cls and reg convs as one conv2d over their
+    # concatenated weights and slices the channels apart (a non-contiguous
+    # slice at n > 1); the reference runs every prediction unit alone on the
+    # same feature maps
+    model = H.assemble_model(ModelSpec(backbone=kind, width_multiplier=0.0625))
+    wb = _signal_bundle(model, 5)
+    model.bind(wb)
+    image = np.random.default_rng(11).random((n, 3, 320, 320), dtype=np.float32)
+    feats = model.backbone.forward(image, wb)
+    for lvl, unit in model.l2norms.items():
+        feats[lvl] = unit.forward(feats[lvl], wb)
+    laterals = [blk.forward(f, wb) for blk, f in zip(model.intermediates, feats)]
+    fused, top_down = [None] * 4, None
+    for i in (3, 2, 1, 0):
+        fused[i] = top_down = model.tcb[i].fuse(laterals[i], top_down, wb)
+    A = len(model.anchors.ratios)
+    want = [H.flatten_predictions([u.forward(f, wb) for u, f in zip(units, maps)], A, units[0].c_out // A)
+            for units, maps in ((model.arm_cls, feats), (model.arm_reg, feats),
+                                (model.odm_cls, fused), (model.odm_reg, fused))]
+    out = model.forward(image)
+    got = [out.arm_obj, out.arm_deltas, out.odm_cls, out.odm_deltas]
+    assert [g.shape for g in got] == [w.shape for w in want]
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
 def _workload_models():
     path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("bench_workloads", path)
